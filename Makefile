@@ -3,9 +3,12 @@
 #   make ci          vet + build + full test suite + race detector on the
 #                    concurrency-sensitive packages + short fuzz pass on the
 #                    untrusted-input decoders + kernel benchmark smoke run
-#                    (what CI runs)
+#                    + the nested zkbench module's vet and tests (what CI runs)
 #   make test        full test suite only
-#   make race        race detector on the proving engine packages
+#   make race        race detector on the proving engine packages and the
+#                    daemon's concurrent traced-prove test
+#   make zkbench-check vet + test the nested benchmark module (zkbench/),
+#                    which `go build ./...` does not reach
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
 #   make bench       prover benchmarks (see EXPERIMENTS.md)
 #   make bench-smoke kernel benchmarks once each, so bench code can't rot
@@ -17,8 +20,6 @@
 #                    work while /stats surfaces the request trace
 #   make shard-smoke sharded (layer-wise) mnist prove + verify end to end on
 #                    both backends via the CLI (DESIGN.md §16)
-#   make bench-json  kernel + prover benchmark snapshot (with fitted
-#                    cost-model relative error) -> BENCH_9.json
 #   make lint        zkml-lint over the whole module (fsio-atomic,
 #                    determinism, panic-decode; see DESIGN.md §15)
 #   make audit-smoke static circuit audit (`zkml audit`) of every bundled
@@ -41,9 +42,9 @@ FUZZ_TARGETS = \
 	./internal/curve/:FuzzGLVDecompose
 FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke bench-json lint audit-smoke
+.PHONY: ci vet build test race fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke lint audit-smoke zkbench-check
 
-ci: vet lint build test race audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke
+ci: vet lint build test race audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke zkbench-check
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -63,6 +64,12 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run '^TestDaemonConcurrentTracedProves$$' ./cmd/zkmld/
+
+# The benchmark (zkbench/) is a nested module outside `go build ./...`, so an
+# API change that breaks it would otherwise only show when the benchmark runs.
+zkbench-check:
+	cd zkbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
@@ -116,7 +123,3 @@ shard-smoke:
 		$(GO) run ./cmd/zkml prove -model mnist -shards 3 -backend $$b -scale-bits 5 -lookup-bits 9 -max-cols 16 -out $$tmp && \
 		$(GO) run ./cmd/zkml verify -model mnist -shards 3 -backend $$b -scale-bits 5 -lookup-bits 9 -max-cols 16 -in $$tmp || { rm -f $$tmp; exit 1; }; \
 	done; rm -f $$tmp
-
-# Committed perf-trajectory snapshot (see EXPERIMENTS.md and cmd/bench-snapshot).
-bench-json:
-	$(GO) run ./cmd/bench-snapshot -out BENCH_9.json

@@ -340,9 +340,9 @@ func BenchmarkIPAVerify(b *testing.B) {
 			for i := range p {
 				p[i] = ff.NewElement(uint64(i)*7 + 3)
 			}
-			c := s.Commit(p)
+			c := s.Commit(p, nil)
 			z := ff.NewElement(12345)
-			o := s.Open(transcript.New("bench"), p, z)
+			o := s.Open(transcript.New("bench"), p, z, nil)
 			y := polyEval(p, z)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

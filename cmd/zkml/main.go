@@ -88,7 +88,16 @@ func commonFlags(fs *flag.FlagSet) (modelName *string, backend *string, scaleBit
 	lookupBits = fs.Int("lookup-bits", 10, "lookup table precision bits")
 	maxCols = fs.Int("max-cols", 24, "maximum advice columns to search")
 	seed = fs.Int64("seed", 1, "synthetic input seed")
-	shards = fs.Int("shards", 1, "split the model into N chunk circuits proved in parallel (sharded proving)")
+	shards = new(int)
+	*shards = 1
+	fs.Func("shards", "split the model into N chunk circuits proved in parallel (sharded proving; default 1)", func(v string) error {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			return fmt.Errorf("shards must be a positive integer, got %q", v)
+		}
+		*shards = n
+		return nil
+	})
 	fs.Func("parallelism", "proving worker count (default: GOMAXPROCS)", func(v string) error {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -38,18 +40,13 @@ func TestVerifyFromKeysDoesNoProvingWork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var counters obs.KernelCounters
-	prev := curve.SetKernelTrace(&counters)
+	msmsBefore := curve.MSMCalls()
 	before := pcs.SetupWorkSnapshot()
 	verifier, err := verifierSystem(dir, spec, o)
 	setup := pcs.SetupWorkSnapshot().Sub(before)
-	curve.SetKernelTrace(prev)
+	msms := curve.MSMCalls() - msmsBefore
 	if err != nil {
 		t.Fatal(err)
-	}
-	var msms int64
-	for i := range counters.MSM {
-		msms += counters.MSM[i].Load()
 	}
 	if msms != 0 {
 		t.Fatalf("verifier construction performed %d MSMs, want 0", msms)
@@ -146,5 +143,26 @@ func TestCheckTraceSchema(t *testing.T) {
 	}
 	if _, err := checkTrace(data, 0); err != nil {
 		t.Fatalf("schema-only check rejected total-less comparison: %v", err)
+	}
+}
+
+// TestShardsFlagRejectsNonPositive makes -shards below 1 a usage error, the
+// way zkmld rejects a bad model@N preload.
+func TestShardsFlagRejectsNonPositive(t *testing.T) {
+	for _, v := range []string{"0", "-3", "two"} {
+		fs := flag.NewFlagSet("prove", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		commonFlags(fs)
+		if err := fs.Parse([]string{"-shards", v}); err == nil {
+			t.Fatalf("-shards %s was accepted", v)
+		}
+	}
+	fs := flag.NewFlagSet("prove", flag.ContinueOnError)
+	_, _, _, _, _, _, shards := commonFlags(fs)
+	if *shards != 1 {
+		t.Fatalf("default shards = %d, want 1", *shards)
+	}
+	if err := fs.Parse([]string{"-shards", "3"}); err != nil || *shards != 3 {
+		t.Fatalf("-shards 3: got %d, err %v", *shards, err)
 	}
 }

@@ -15,9 +15,8 @@
 // proving engine fans out across cores via internal/parallel), so the
 // daemon admits only a bounded number of in-flight proves and answers 429
 // with Retry-After when saturated, instead of queueing unboundedly and
-// timing everyone out. Traced proves install the process-wide obs kernel
-// sinks, so they run exclusively (an RWMutex: untraced proves share the
-// read side, a traced prove takes the write side).
+// timing everyone out. A traced prove carries its own kernel counters, so
+// traced, untraced and sharded proves share the admitted slots alike.
 package main
 
 import (
@@ -113,8 +112,7 @@ type server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	sem     chan struct{}
-	traceMu sync.RWMutex
+	sem chan struct{}
 
 	mu      sync.Mutex
 	systems map[string]*modelEntry
@@ -159,20 +157,38 @@ func (s *server) entry(name string) *modelEntry {
 	return e
 }
 
+// cached reports whether a cache slot exists for key.
+func (s *server) cached(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.systems[key]
+	return ok
+}
+
 // system returns the compiled system for (model, shards), loading it on
 // first use: from the artifact store when possible (deserialize, zero
 // keygen), else by compiling once — and filling the store so the next
-// daemon start is warm. shards > 1 loads a sharded system under its own
-// cache key ("model@shards"), so the same model served plain and sharded
-// coexist warm.
+// daemon start is warm. shards 0 and 1 both mean unsharded; shards > 1
+// loads a sharded system under its own cache key ("model@shards"), so the
+// same model served plain and sharded coexist warm. A negative shard
+// count, or one above the model's node count, is rejected before any cache
+// slot is created.
 func (s *server) system(name string, shards int) (*modelEntry, error) {
 	spec, err := zkml.Model(name)
 	if err != nil {
 		return nil, err
 	}
+	if shards < 0 {
+		return nil, fmt.Errorf("shard count %d is negative", shards)
+	}
 	key := name
 	if shards > 1 {
 		key = fmt.Sprintf("%s@%d", name, shards)
+	}
+	if shards > 1 && !s.cached(key) {
+		if nodes := len(spec.Build().Nodes); shards > nodes {
+			return nil, fmt.Errorf("cannot split %d nodes into %d shards", nodes, shards)
+		}
 	}
 	e := s.entry(key)
 	e.once.Do(func() {
@@ -448,12 +464,8 @@ func (s *server) prove(req proveRequest) proveResult {
 	var outputs []float64
 	var proveDur time.Duration
 	if req.Shards > 1 {
-		// Sharded proves fan their chunks out through the same process-wide
-		// worker pool, so they share the untraced (read) side of the lock.
 		proveStart := time.Now()
-		s.traceMu.RLock()
 		proof, perr := e.ssys.Prove(in)
-		s.traceMu.RUnlock()
 		proveDur = time.Since(proveStart)
 		if perr == nil {
 			data, perr = e.ssys.ExportProof(proof)
@@ -461,11 +473,8 @@ func (s *server) prove(req proveRequest) proveResult {
 		}
 		err = perr
 	} else if req.Trace {
-		// Traced proves own the process-wide kernel sinks exclusively.
 		proveStart := time.Now()
-		s.traceMu.Lock()
 		proof, trep, perr := e.sys.ProveTraced(in)
-		s.traceMu.Unlock()
 		proveDur = time.Since(proveStart)
 		rep = trep
 		if perr == nil {
@@ -475,9 +484,7 @@ func (s *server) prove(req proveRequest) proveResult {
 		err = perr
 	} else {
 		proveStart := time.Now()
-		s.traceMu.RLock()
 		proof, perr := e.sys.Prove(in)
-		s.traceMu.RUnlock()
 		proveDur = time.Since(proveStart)
 		if perr == nil {
 			data, perr = e.sys.ExportProof(proof)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -267,5 +268,83 @@ func TestDaemonProveTimeout(t *testing.T) {
 	resp, _ := postJSON(t, ts, "/prove", proveRequest{Model: "dlrm-micro", Seed: 1})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestDaemonRejectsBadShards pins the shard-count contract on both
+// endpoints: a negative count, or one above the model's node count, is a
+// 400 that leaves no cache slot behind.
+func TestDaemonRejectsBadShards(t *testing.T) {
+	srv := newServer(testConfig(""))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, shards := range []int{-3, 1000} {
+		resp, body := postJSON(t, ts, "/prove", proveRequest{Model: "dlrm-micro", Shards: shards})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("prove shards=%d: status %d, want 400 (%s)", shards, resp.StatusCode, body["error"])
+		}
+		resp, body = postJSON(t, ts, "/verify", verifyRequest{Model: "dlrm-micro", Shards: shards})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("verify shards=%d: status %d, want 400 (%s)", shards, resp.StatusCode, body["error"])
+		}
+	}
+	srv.mu.Lock()
+	n := len(srv.systems)
+	srv.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("rejected shard counts left %d cache entries, want 0", n)
+	}
+}
+
+// TestDaemonConcurrentTracedProves sends two traced proves at once: both
+// must succeed, and each trace must count exactly the MSMs of a traced
+// prove that ran alone.
+func TestDaemonConcurrentTracedProves(t *testing.T) {
+	ts := httptest.NewServer(newServer(testConfig("")))
+	defer ts.Close()
+	msmCount := func(body map[string]json.RawMessage) int64 {
+		return unmarshalField[int64](t, unmarshalField[map[string]json.RawMessage](t, body, "trace"), "msm_count")
+	}
+	resp, body := postJSON(t, ts, "/prove", proveRequest{Model: "dlrm-micro", Seed: 1, Trace: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solo traced prove: status %d: %s", resp.StatusCode, body["error"])
+	}
+	want := msmCount(body)
+
+	// The goroutines only collect responses; all assertions run on the
+	// test goroutine.
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	status := make([]int, 2)
+	bodies := make([]map[string]json.RawMessage, 2)
+	for i := range errs {
+		data, err := json.Marshal(proveRequest{Model: "dlrm-micro", Seed: int64(2 + i), Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/prove", "application/json", bytes.NewReader(data))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			status[i] = resp.StatusCode
+			errs[i] = json.NewDecoder(resp.Body).Decode(&bodies[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatalf("concurrent traced prove %d: %v", i, errs[i])
+		}
+		if status[i] != http.StatusOK {
+			t.Fatalf("concurrent traced prove %d: status %d: %s", i, status[i], bodies[i]["error"])
+		}
+		if got := msmCount(bodies[i]); got != want {
+			t.Fatalf("concurrent traced prove %d counted %d MSMs, solo prove %d", i, got, want)
+		}
 	}
 }

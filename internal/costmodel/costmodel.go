@@ -401,17 +401,12 @@ func fftShape(k int) float64 { return float64(int64(1)<<uint(k)) * float64(k) }
 // own window schedule: windows·(points bucket adds + 2·2^(c-1) reduction
 // adds), with the window width c (and hence the bucket count) coming from
 // the kernel's own scheduler so the model tracks its memory-budget clamp.
-// With GLV enabled (the default) the kernel runs 2n half-scalar points
-// through ~half the windows, so the shape follows curve.GLVWindows.
+// The GLV kernel runs 2n half-scalar points through ~half the windows, so
+// the shape follows curve.GLVWindows.
 func msmShape(k int) float64 {
 	n := int64(1) << uint(k)
-	if curve.GLVEnabled() {
-		c, nw := curve.GLVWindows(int(n))
-		return float64(nw) * (float64(2*n) + 2*float64(int64(1)<<uint(c-1)))
-	}
-	w := curve.WindowSize(int(n))
-	windows := curve.NumWindows(w)
-	return float64(int64(windows)) * (float64(n) + 2*float64(int64(1)<<uint(w-1)))
+	c, nw := curve.GLVWindows(int(n))
+	return float64(nw) * (float64(2*n) + 2*float64(int64(1)<<uint(c-1)))
 }
 
 // fixedShape is the table-warm fixed-base operation count: all 2n·nw window

@@ -253,19 +253,16 @@ func BenchmarkMSM(b *testing.B) {
 		aff := BatchToAffine(jacs)
 		copy(pts, aff)
 		name := map[int]string{1 << 8: "2^8", 1 << 10: "2^10", 1 << 12: "2^12"}[n]
-		for _, glv := range []bool{true, false} {
-			sub := name + "/glv=on"
-			if !glv {
-				sub = name + "/glv=off"
+		b.Run(name+"/glv", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MSM(pts, scs)
 			}
-			b.Run(sub, func(b *testing.B) {
-				prev := SetGLV(glv)
-				defer SetGLV(prev)
-				for i := 0; i < b.N; i++ {
-					MSM(pts, scs)
-				}
-			})
-		}
+		})
+		b.Run(name+"/plain", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				msmPlain(pts, scs, nil)
+			}
+		})
 	}
 }
 
@@ -430,7 +427,7 @@ func TestMSMLargeRandom(t *testing.T) {
 		scs[i] = ff.Random()
 	}
 	copy(pts, BatchToAffine(jacs))
-	if half := 1 << uint(WindowSize(n)-1); half < msmAffineMinBuckets {
+	if half := 1 << uint(windowSize(n)-1); half < msmAffineMinBuckets {
 		t.Fatalf("n=2^12 should select the batch-affine path (half=%d)", half)
 	}
 	parallel.SetWorkers(1)
@@ -459,20 +456,20 @@ func TestMSMLargeRandom(t *testing.T) {
 func TestWindowSizeBudget(t *testing.T) {
 	prev := 0
 	for k := 0; k <= 24; k++ {
-		c := WindowSize(1 << uint(k))
+		c := windowSize(1 << uint(k))
 		if c < 2 || c > 16 {
-			t.Fatalf("WindowSize(2^%d) = %d out of range", k, c)
+			t.Fatalf("windowSize(2^%d) = %d out of range", k, c)
 		}
 		if (72 << uint(c-1)) > maxBucketBytes {
-			t.Fatalf("WindowSize(2^%d) = %d violates bucket budget", k, c)
+			t.Fatalf("windowSize(2^%d) = %d violates bucket budget", k, c)
 		}
 		if c < prev {
-			t.Fatalf("WindowSize decreased at 2^%d", k)
+			t.Fatalf("windowSize decreased at 2^%d", k)
 		}
 		prev = c
 	}
-	if WindowSize(1<<24) != 13 {
-		t.Fatalf("budget clamp should cap huge inputs at c=13, got %d", WindowSize(1<<24))
+	if windowSize(1<<24) != 13 {
+		t.Fatalf("budget clamp should cap huge inputs at c=13, got %d", windowSize(1<<24))
 	}
 }
 
@@ -481,7 +478,7 @@ func TestWindowSizeBudget(t *testing.T) {
 func TestBatchAdderAgainstJac(t *testing.T) {
 	g := Generator()
 	const nb = 8
-	a := newBatchAdder(nb)
+	a := newBatchAdder(nb, nil)
 	ref := make([]Jac, nb)
 	pool := make([]Affine, 5)
 	for i := range pool {

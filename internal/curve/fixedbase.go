@@ -2,6 +2,7 @@ package curve
 
 import (
 	"repro/internal/ff"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -125,8 +126,15 @@ func (t *FixedBaseTable) Windows() (c, nw int) { return t.c, t.nw }
 // and reduce them independently; the partial sums are combined in index
 // order, and since each partial is an exact group element the result — and
 // therefore every proof byte — is identical at any worker count. Falls back
-// to the generic kernel when GLV is disabled or the input is tiny.
+// to the generic kernel when the input is tiny.
 func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
+	return t.MSMCounted(scalars, nil)
+}
+
+// MSMCounted is MSM recording the call (as both an MSM and a fixed-base
+// MSM), its GLV splits and its batch-inversion flushes into k; a nil k is
+// the untraced MSM.
+func (t *FixedBaseTable) MSMCounted(scalars []ff.Element, k *obs.KernelCounters) Jac {
 	n := len(scalars)
 	if n > t.n {
 		panic("curve: fixed-base MSM exceeds table size")
@@ -134,19 +142,19 @@ func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 	if n == 0 {
 		return Jac{}
 	}
-	if n < 8 || !glvOn.Load() {
-		return MSM(t.basis[:n], scalars)
+	if n < 8 {
+		return MSMCounted(t.basis[:n], scalars, k)
 	}
 	splits := make([]glvSplit, n)
 	maxBits := glvDecomposeAll(scalars, splits)
 	if maxBits >= t.nw*t.c {
 		// The top digit could not absorb its carry (unreachable with
 		// self-checked constants); never compute a wrong answer over it.
-		return MSM(t.basis[:n], scalars)
+		return MSMCounted(t.basis[:n], scalars, k)
 	}
-	kernelTrace.Load().RecordMSM(n)
-	kernelTrace.Load().RecordFixedBaseMSM(n)
-	kernelTrace.Load().RecordGLVSplit(n)
+	countMSM(n, k)
+	k.RecordFixedBaseMSM(n)
+	k.RecordGLVSplit(n)
 	if maxBits == 0 {
 		return Jac{}
 	}
@@ -161,7 +169,7 @@ func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 		lo := j * per
 		hi := min(lo+per, n)
 		if lo < hi {
-			partials[j] = t.accumulate(splits, lo, hi)
+			partials[j] = t.accumulate(splits, lo, hi, k)
 		}
 	}
 	if chunks == 1 {
@@ -180,9 +188,9 @@ func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 // bucket set: every window of both GLV halves lands in the same 2^(c-1)
 // buckets (the table entries are pre-scaled by 2^(c·w)), then one
 // running-sum reduction yields the range's partial sum.
-func (t *FixedBaseTable) accumulate(splits []glvSplit, lo, hi int) Jac {
+func (t *FixedBaseTable) accumulate(splits []glvSplit, lo, hi int, k *obs.KernelCounters) Jac {
 	half := 1 << uint(t.c-1)
-	a := newBatchAdder(half)
+	a := newBatchAdder(half, k)
 	row := make([]int32, t.nw)
 	for i := lo; i < hi; i++ {
 		for h := 0; h < 2; h++ {

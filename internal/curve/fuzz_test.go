@@ -73,8 +73,8 @@ func FuzzGLVDecompose(f *testing.F) {
 			inc := ff.NewElement(uint64(i))
 			scs[i].Add(&scs[i], &inc)
 		}
-		glv := msmGLV(pts, scs).ToAffine()
-		plain := msmPlain(pts, scs).ToAffine()
+		glv := msmGLV(pts, scs, nil).ToAffine()
+		plain := msmPlain(pts, scs, nil).ToAffine()
 		if !glv.Equal(&plain) {
 			t.Fatalf("GLV MSM differs from plain kernel for k=%v", k.BigInt())
 		}

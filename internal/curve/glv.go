@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ff"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -48,27 +49,12 @@ var (
 	// g2 = round(-b1·2^shift / det), det = a1·b2 - a2·b1 = ±r.
 	glvG1, glvG2 *big.Int
 	glvRoundHalf *big.Int // 2^(shift-1)
-
-	glvOn atomic.Bool
 )
 
 func init() {
 	glvDeriveConstants()
 	glvSelfCheck()
-	glvOn.Store(true)
 }
-
-// SetGLV toggles GLV decomposition in the MSM kernels and returns the
-// previous setting. Both settings compute identical group elements; tests
-// and benchmarks use the toggle to compare paths.
-func SetGLV(on bool) bool {
-	prev := glvOn.Load()
-	glvOn.Store(on)
-	return prev
-}
-
-// GLVEnabled reports whether MSM kernels currently use GLV decomposition.
-func GLVEnabled() bool { return glvOn.Load() }
 
 // GLVLambda returns λ, the scalar the endomorphism Phi multiplies by.
 func GLVLambda() *big.Int { return new(big.Int).Set(glvLambda) }
@@ -78,7 +64,7 @@ func GLVLambda() *big.Int { return new(big.Int).Set(glvLambda) }
 // count) and the per-half-scalar window count. The cost model derives its
 // MSM operation count from the same schedule.
 func GLVWindows(n int) (c, nw int) {
-	c = WindowSize(2 * n)
+	c = windowSize(2 * n)
 	return c, glvHalfBits/c + 1
 }
 
@@ -337,21 +323,22 @@ func glvDecomposeAll(scalars []ff.Element, splits []glvSplit) int {
 // msmGLV is the GLV variable-base MSM: decompose every scalar, expand to 2n
 // points (sign-folded, φ-image interleaved), and run the same signed-window
 // bucket machinery over half-length scalars — half the window passes,
-// bucket reductions, and Horner doublings of the plain kernel.
-func msmGLV(points []Affine, scalars []ff.Element) Jac {
+// bucket reductions, and Horner doublings of the plain kernel. GLV splits
+// and batch-inversion flushes are recorded into k (nil: untraced).
+func msmGLV(points []Affine, scalars []ff.Element, k *obs.KernelCounters) Jac {
 	n := len(points)
 	splits := make([]glvSplit, n)
 	maxBits := glvDecomposeAll(scalars, splits)
 	if maxBits > glvHalfBits {
 		// Unreachable with self-checked constants; never compute a wrong
 		// answer over it.
-		return msmPlain(points, scalars)
+		return msmPlain(points, scalars, k)
 	}
 	if maxBits == 0 {
 		return Jac{}
 	}
-	kernelTrace.Load().RecordGLVSplit(n)
-	c := WindowSize(2 * n)
+	k.RecordGLVSplit(n)
+	c := windowSize(2 * n)
 	// nw·c ≥ maxBits+1, so the top signed digit absorbs its carry.
 	nw := maxBits/c + 1
 
@@ -382,7 +369,7 @@ func msmGLV(points []Affine, scalars []ff.Element) Jac {
 	sums := make([]Jac, nw)
 	window := func(w int) {
 		if half := 1 << uint(c-1); half >= msmAffineMinBuckets {
-			sums[w] = windowSumAffine(pts2, digits, w, nw, c)
+			sums[w] = windowSumAffine(pts2, digits, w, nw, c, k)
 		} else {
 			sums[w] = windowSumJac(pts2, digits, w, nw, c)
 		}

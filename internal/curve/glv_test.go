@@ -94,11 +94,8 @@ func TestMSMGLVMatchesPlain(t *testing.T) {
 				scs[i] = ff.Random()
 			}
 		}
-		prev := SetGLV(false)
-		plain := MSM(pts, scs)
-		SetGLV(true)
-		glv := MSM(pts, scs)
-		SetGLV(prev)
+		plain := msmPlain(pts, scs, nil)
+		glv := msmGLV(pts, scs, nil)
 		a, b := plain.ToAffine(), glv.ToAffine()
 		if !a.Equal(&b) {
 			t.Fatalf("GLV MSM differs from plain kernel at n=%d", n)
@@ -176,16 +173,10 @@ func TestFixedBaseTableMatchesMSM(t *testing.T) {
 		}
 	}
 
-	// With GLV disabled the table falls back to the generic kernel and must
-	// still agree.
-	prev := SetGLV(false)
-	got := tab.MSM(scs).ToAffine()
-	SetGLV(prev)
-	want := new(Jac)
-	*want = msmPlain(basis, scs)
-	wa := want.ToAffine()
-	if !got.Equal(&wa) {
-		t.Fatal("fixed-base fallback (GLV off) differs from plain kernel")
+	// The non-GLV plain kernel is the oracle for the table path too.
+	want := msmPlain(basis, scs, nil).ToAffine()
+	if !refA.Equal(&want) {
+		t.Fatal("fixed-base MSM differs from the plain kernel")
 	}
 }
 
@@ -221,9 +212,11 @@ func TestFixedBaseMSMRecordsCounters(t *testing.T) {
 		scs[i] = ff.Random()
 	}
 	k := &obs.KernelCounters{}
-	prev := SetKernelTrace(k)
-	tab.MSM(scs)
-	SetKernelTrace(prev)
+	before := MSMCalls()
+	tab.MSMCounted(scs, k)
+	if d := MSMCalls() - before; d != 1 {
+		t.Fatalf("running MSM total moved by %d, want 1", d)
+	}
 	var msms, fixed int64
 	for i := range k.MSM {
 		msms += k.MSM[i].Load()

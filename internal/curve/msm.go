@@ -2,9 +2,11 @@ package curve
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/ff"
 	"repro/internal/limbs"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -36,11 +38,10 @@ const maxBucketBytes = 1 << 19
 // scalarBits is the bit length of the Fr modulus.
 const scalarBits = 254
 
-// WindowSize picks the signed Pippenger window width c for n points:
+// windowSize picks the signed Pippenger window width c for n points:
 // roughly log2(n) - 3, clamped to [2, 16] and then shrunk until the
-// 2^(c-1)-entry bucket array fits maxBucketBytes. Exported because the cost
-// model derives its MSM operation count from the same schedule.
-func WindowSize(n int) int {
+// 2^(c-1)-entry bucket array fits maxBucketBytes.
+func windowSize(n int) int {
 	c := bits.Len(uint(n)) - 3
 	if c < 2 {
 		c = 2
@@ -69,8 +70,15 @@ func WindowSize(n int) int {
 // windows — each window is an independent bucket pass — so workers no
 // longer duplicate the 254-doubling chain the way per-point chunking did.
 // The window sums are combined serially in fixed order, so the result is
-// bit-identical at every worker count.
+// bit-identical at every worker count. Every MSM of eight or more points
+// runs through the GLV decomposition (DESIGN.md §14).
 func MSM(points []Affine, scalars []ff.Element) Jac {
+	return MSMCounted(points, scalars, nil)
+}
+
+// MSMCounted is MSM recording the call, its GLV splits and its
+// batch-inversion flushes into k; a nil k is the untraced MSM.
+func MSMCounted(points []Affine, scalars []ff.Element, k *obs.KernelCounters) Jac {
 	if len(points) != len(scalars) {
 		panic("curve: MSM length mismatch")
 	}
@@ -78,7 +86,7 @@ func MSM(points []Affine, scalars []ff.Element) Jac {
 	if n == 0 {
 		return Jac{}
 	}
-	kernelTrace.Load().RecordMSM(n)
+	countMSM(n, k)
 	if n < 8 {
 		var acc Jac
 		for i := range points {
@@ -87,25 +95,38 @@ func MSM(points []Affine, scalars []ff.Element) Jac {
 		}
 		return acc
 	}
-	if glvOn.Load() {
-		return msmGLV(points, scalars)
-	}
-	return msmPlain(points, scalars)
+	return msmGLV(points, scalars, k)
+}
+
+// msmCalls is the process's running total of MSMs over every path
+// (variable-base and fixed-base), counted wherever a per-call counter block
+// would record one, so the per-call counts of concurrent proves sum to its
+// delta.
+var msmCalls atomic.Int64
+
+// MSMCalls returns how many MSMs the process has run so far. Callers
+// difference two reads, like pcs.SetupWorkSnapshot.
+func MSMCalls() int64 { return msmCalls.Load() }
+
+// countMSM records one n-point MSM in the running total and in k.
+func countMSM(n int, k *obs.KernelCounters) {
+	msmCalls.Add(1)
+	k.RecordMSM(n)
 }
 
 // msmPlain is the non-GLV signed-window kernel: full 254-bit scalars, one
-// bucket pass per window. Kept as the GLV fallback and the baseline the
-// GLV-off benchmarks and determinism tests compare against.
-func msmPlain(points []Affine, scalars []ff.Element) Jac {
+// bucket pass per window. It is msmGLV's fallback for an over-wide
+// decomposition and the oracle the GLV tests compare against.
+func msmPlain(points []Affine, scalars []ff.Element, k *obs.KernelCounters) Jac {
 	n := len(points)
-	c := WindowSize(n)
-	nw := NumWindows(c)
+	c := windowSize(n)
+	nw := numWindows(c)
 	digits := signedDigits(scalars, c, nw)
 
 	sums := make([]Jac, nw)
 	window := func(w int) {
 		if half := 1 << uint(c-1); half >= msmAffineMinBuckets {
-			sums[w] = windowSumAffine(points, digits, w, nw, c)
+			sums[w] = windowSumAffine(points, digits, w, nw, c, k)
 		} else {
 			sums[w] = windowSumJac(points, digits, w, nw, c)
 		}
@@ -129,12 +150,12 @@ func msmPlain(points []Affine, scalars []ff.Element) Jac {
 	return total
 }
 
-// NumWindows returns the signed-window count for width c. The top window
+// numWindows returns the signed-window count for width c. The top window
 // absorbs the recoding carry in place: ceil(254/c) windows span nw·c ≥ 255
 // bits whenever c does not divide 254, so the top raw digit plus carry is
 // at most 2^(c-1) and never re-carries. Only when c divides 254 exactly
 // (c = 2 in our range) is one extra carry window needed.
-func NumWindows(c int) int {
+func numWindows(c int) int {
 	nw := (scalarBits + c - 1) / c
 	if scalarBits%c == 0 {
 		nw++
@@ -169,7 +190,7 @@ func signedDigits(scalars []ff.Element, c, nw int) []int32 {
 
 // recodeRow writes the signed base-2^c digits of the little-endian limb
 // vector l into row. The recoded value must fit in len(row)·c - 1 bits so
-// the top digit absorbs the final carry without re-carrying (NumWindows and
+// the top digit absorbs the final carry without re-carrying (numWindows and
 // the GLV window counts both guarantee this).
 func recodeRow(l *[4]uint64, row []int32, c int) {
 	half := int64(1) << uint(c-1)
@@ -234,9 +255,9 @@ func bucketReduce(buckets []Jac) Jac {
 
 // windowSumAffine accumulates one window's buckets in affine coordinates
 // through a batchAdder, then reduces them with the running-sum trick.
-func windowSumAffine(points []Affine, digits []int32, w, nw, c int) Jac {
+func windowSumAffine(points []Affine, digits []int32, w, nw, c int, k *obs.KernelCounters) Jac {
 	half := 1 << uint(c-1)
-	a := newBatchAdder(half)
+	a := newBatchAdder(half, k)
 	for i := range points {
 		d := digits[i*nw+w]
 		if d == 0 {
@@ -293,10 +314,11 @@ type batchAdder struct {
 	pendIdx []int32 // buckets with a (possibly stale) pend entry
 	batch   int     // flush threshold on len(ops)+len(pairs)
 	den     []limbs.Limbs
-	scratch []limbs.Limbs // reused BatchInverse prefix buffer
+	scratch []limbs.Limbs       // reused BatchInverse prefix buffer
+	k       *obs.KernelCounters // flush counter (nil: untraced)
 }
 
-func newBatchAdder(nb int) *batchAdder {
+func newBatchAdder(nb int, k *obs.KernelCounters) *batchAdder {
 	batch := msmBatchSize
 	if nb < batch {
 		batch = nb
@@ -311,6 +333,7 @@ func newBatchAdder(nb int) *batchAdder {
 		batch:   batch,
 		den:     make([]limbs.Limbs, batch),
 		scratch: make([]limbs.Limbs, batch),
+		k:       k,
 	}
 	for i := range a.buckets {
 		a.buckets[i].Inf = true
@@ -399,7 +422,7 @@ func affineApply(p, q *Affine, inv *Fp) {
 // flushOnce resolves every scheduled op and conflict pair with one batch
 // inversion, then requeues the pair results and parked pend points.
 func (a *batchAdder) flushOnce() {
-	kernelTrace.Load().RecordBatchInvFlush()
+	a.k.RecordBatchInvFlush()
 	ops, pairs := a.ops, a.pairs
 	den := a.den[:len(ops)+len(pairs)]
 	for k := range ops {

@@ -1,15 +1,17 @@
 // Package obs is the proving pipeline's tracing/metrics layer (DESIGN.md
 // §11). A Trace collects per-stage wall time and lock-free kernel counters
-// for one Prove call; a Report is the immutable JSON-serializable result,
-// and CompareEstimate lines the measured stage times up against the cost
-// model's predictions (paper §7.4, eqs. (1)–(2)) so the estimator can be
-// validated per stage instead of trusted end to end.
+// for one Prove call, which passes its counter block down the call chain
+// explicitly, so any number of traced proves can run concurrently. A
+// Report is the immutable JSON-serializable result, and CompareEstimate
+// lines the measured stage times up against the cost model's predictions
+// (paper §7.4, eqs. (1)–(2)) so the estimator can be validated per stage
+// instead of trusted end to end.
 //
 // The package depends only on the standard library so the kernel packages
-// (curve, poly, pcs) can record into a *KernelCounters without import
+// (curve, pcs, plonkish) can record into a *KernelCounters without import
 // cycles. Every method is nil-safe: a nil *Trace or *KernelCounters is the
 // disabled state, and the disabled path is a single pointer check — no
-// locks, no allocation.
+// locks, no allocation, no clock read.
 package obs
 
 import (
@@ -65,10 +67,10 @@ func StageNames() []string {
 // ceil(log2(n)), which cannot exceed 63 for an int count.
 const maxSizeLog = 64
 
-// KernelCounters is the lock-free counter block the kernels record into
-// while a trace is armed. All fields are atomics so concurrent worker-pool
-// chunks (parallel MSM windows, NTT butterflies, opening MSMs) can record
-// without coordination; a nil receiver is the disabled state.
+// KernelCounters is the lock-free counter block one traced Prove hands to
+// the kernels it calls. All fields are atomics so concurrent worker-pool
+// chunks (parallel MSM windows, opening MSMs) can record without
+// coordination; a nil receiver is the disabled state.
 type KernelCounters struct {
 	// MSM / FFT count operations bucketed by ceil(log2(size)).
 	MSM [maxSizeLog]atomic.Int64
@@ -147,6 +149,17 @@ func (k *KernelCounters) RecordOpen(d time.Duration) {
 	k.OpenNs.Add(d.Nanoseconds())
 }
 
+// TimeOpen starts timing one PCS opening argument; calling the returned
+// func records it with RecordOpen. A nil receiver returns a no-op without
+// reading the clock.
+func (k *KernelCounters) TimeOpen() func() {
+	if k == nil {
+		return func() {}
+	}
+	start := time.Now()
+	return func() { k.RecordOpen(time.Since(start)) }
+}
+
 // Trace accumulates stage timings and kernel counters for one Prove call.
 // Stage transitions must happen on the proving goroutine (they are not
 // synchronized); the Kernel block may be written from any worker. The zero
@@ -166,9 +179,9 @@ type Trace struct {
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// KernelSink returns the counter block kernels should record into, or nil
-// when the trace itself is nil (so disarmed kernels keep their plain
-// nil check).
+// KernelSink returns the counter block the traced call passes to its
+// kernels, or nil when the trace itself is nil (so untraced kernels keep
+// their plain nil check).
 func (t *Trace) KernelSink() *KernelCounters {
 	if t == nil {
 		return nil

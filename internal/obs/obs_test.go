@@ -31,6 +31,7 @@ func TestNilSafety(t *testing.T) {
 		k.RecordFFT(4096)
 		k.RecordBatchInvFlush()
 		k.RecordOpen(time.Millisecond)
+		k.TimeOpen()()
 	}); n != 0 {
 		t.Fatalf("disabled kernel recording allocates %v times per run", n)
 	}
@@ -84,6 +85,18 @@ func TestKernelHistogram(t *testing.T) {
 	if r.BatchInvFlushes != 1 || r.Opens != 1 || r.OpenSeconds != 2 {
 		t.Fatalf("counter snapshot wrong: flushes=%d opens=%d open_s=%v",
 			r.BatchInvFlushes, r.Opens, r.OpenSeconds)
+	}
+}
+
+// TimeOpen records one opening with the time that passed until its
+// returned func ran.
+func TestTimeOpen(t *testing.T) {
+	var k KernelCounters
+	done := k.TimeOpen()
+	time.Sleep(time.Millisecond)
+	done()
+	if k.Opens.Load() != 1 || k.OpenNs.Load() < int64(time.Millisecond) {
+		t.Fatalf("opens=%d open_ns=%d, want 1 and >= 1ms", k.Opens.Load(), k.OpenNs.Load())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
+	"repro/internal/obs"
 )
 
 // Commitment MSMs always run against the scheme's SRS basis — the KZG
@@ -22,27 +23,6 @@ import (
 // table; below it the generic kernel's small-n path wins and a table build
 // would never pay for itself.
 const commitTableMinLen = 64
-
-// commitTablesOn gates the fixed-base commit path; disabled it falls back
-// to the generic MSM kernel (used by benchmarks and determinism tests).
-var commitTablesOn atomic.Bool
-
-func init() { commitTablesOn.Store(true) }
-
-// SetCommitTables toggles the fixed-base commitment tables and returns the
-// previous setting.
-func SetCommitTables(on bool) bool { return commitTablesOn.Swap(on) }
-
-// ResetCommitTables drops the cached commitment tables so the next Commit
-// rebuilds them. Benchmarks use this to measure the cold path.
-func ResetCommitTables() {
-	for _, cc := range []*commitTableCache{&kzgCommitTables, &ipaCommitTables} {
-		cc.mu.Lock()
-		cc.table.Store(nil)
-		cc.declined = 0
-		cc.mu.Unlock()
-	}
-}
 
 // commitTableCache lazily builds and caches one fixed-base table per
 // backend. The atomic pointer serves the warm path without locking;
@@ -89,13 +69,13 @@ func (cc *commitTableCache) get(basis []curve.Affine, n int) *curve.FixedBaseTab
 }
 
 // commitMSM is the shared Commit kernel: the fixed-base table when it
-// applies, the generic MSM otherwise.
-func commitMSM(cc *commitTableCache, basis []curve.Affine, p []ff.Element) curve.Affine {
-	if commitTablesOn.Load() && curve.GLVEnabled() && len(p) >= commitTableMinLen {
+// applies, the generic MSM otherwise. Kernel counts go to kc.
+func commitMSM(cc *commitTableCache, basis []curve.Affine, p []ff.Element, kc *obs.KernelCounters) curve.Affine {
+	if len(p) >= commitTableMinLen {
 		if t := cc.get(basis, len(p)); t != nil {
 			setupWork.commitTableHits.Add(1)
-			return t.MSM(p).ToAffine()
+			return t.MSMCounted(p, kc).ToAffine()
 		}
 	}
-	return curve.MSM(basis[:len(p)], p).ToAffine()
+	return curve.MSMCounted(basis[:len(p)], p, kc).ToAffine()
 }

@@ -8,19 +8,28 @@ import (
 	"repro/internal/curve"
 )
 
+// basisOf returns the commitment basis a scheme's Commit runs against.
+func basisOf(s Scheme) []curve.Affine {
+	switch s := s.(type) {
+	case *KZGScheme:
+		return s.powers
+	case *IPAScheme:
+		return s.basis
+	}
+	panic("pcs: unknown scheme")
+}
+
 // TestCommitTableMatchesPlainMSM pins the routing invariant: a commitment
 // served by the fixed-base table is the same group element (and therefore
-// the same proof bytes) as the generic-kernel commitment, at sizes on both
-// sides of the commitTableMinLen gate.
+// the same proof bytes) as the generic-kernel MSM over the same basis, at
+// sizes on both sides of the commitTableMinLen gate.
 func TestCommitTableMatchesPlainMSM(t *testing.T) {
 	ResetCommitTables()
 	for _, s := range schemes(t, 256) {
 		for _, n := range []int{1, commitTableMinLen - 1, commitTableMinLen, 200, 256} {
 			p := randPoly(n)
-			warm := s.Commit(p)
-			prev := SetCommitTables(false)
-			plain := s.Commit(p)
-			SetCommitTables(prev)
+			warm := s.Commit(p, nil)
+			plain := curve.MSM(basisOf(s)[:n], p).ToAffine()
 			if !warm.Equal(&plain) {
 				t.Fatalf("%s n=%d: table commitment differs from plain MSM", s.Backend(), n)
 			}
@@ -37,9 +46,7 @@ func TestConcurrentCommitSharedTable(t *testing.T) {
 	before := SetupWorkSnapshot()
 	for _, s := range schemes(t, 128) {
 		p := randPoly(128)
-		prev := SetCommitTables(false)
-		want := s.Commit(p)
-		SetCommitTables(prev)
+		want := curve.MSM(basisOf(s)[:len(p)], p).ToAffine()
 
 		const goroutines = 8
 		got := make([]curve.Affine, goroutines)
@@ -49,7 +56,7 @@ func TestConcurrentCommitSharedTable(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for rep := 0; rep < 3; rep++ {
-					got[g] = s.Commit(p)
+					got[g] = s.Commit(p, nil)
 				}
 			}(g)
 		}
@@ -76,7 +83,7 @@ func TestCommitTableSetupWorkAccounting(t *testing.T) {
 	p := randPoly(128)
 	ResetCommitTables()
 	before := SetupWorkSnapshot()
-	s.Commit(p)
+	s.Commit(p, nil)
 	afterBuild := SetupWorkSnapshot()
 	d := afterBuild.Sub(before)
 	if d.CommitTableBuilds != 1 || d.CommitTableHits != 1 {
@@ -85,7 +92,7 @@ func TestCommitTableSetupWorkAccounting(t *testing.T) {
 	if d.IsZero() {
 		t.Fatal("a table build must count as setup work")
 	}
-	s.Commit(p)
+	s.Commit(p, nil)
 	warm := SetupWorkSnapshot().Sub(afterBuild)
 	if warm.CommitTableBuilds != 0 || warm.CommitTableHits != 1 {
 		t.Fatalf("warm commit: builds=%d hits=%d, want 0/1", warm.CommitTableBuilds, warm.CommitTableHits)
@@ -119,14 +126,14 @@ func BenchmarkCommit(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/2^%d/cold", backend, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					ResetCommitTables()
-					s.Commit(p)
+					s.Commit(p, nil)
 				}
 			})
 			b.Run(fmt.Sprintf("%s/2^%d/warm", backend, k), func(b *testing.B) {
-				s.Commit(p) // ensure the table is built outside the timed loop
+				s.Commit(p, nil) // ensure the table is built outside the timed loop
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s.Commit(p)
+					s.Commit(p, nil)
 				}
 			})
 		}
@@ -134,20 +141,18 @@ func BenchmarkCommit(b *testing.B) {
 }
 
 // BenchmarkCommitNoTable is the baseline the warm path is compared against:
-// the same commitment through the generic GLV kernel.
+// the same commitment as a generic GLV MSM over the basis.
 func BenchmarkCommitNoTable(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 12} {
-		s := NewKZG(n)
+		basis := NewKZG(n).powers[:n]
 		p := randPoly(n)
 		k := 0
 		for 1<<k < n {
 			k++
 		}
 		b.Run(fmt.Sprintf("KZG/2^%d", k), func(b *testing.B) {
-			prev := SetCommitTables(false)
-			defer SetCommitTables(prev)
 			for i := 0; i < b.N; i++ {
-				s.Commit(p)
+				curve.MSM(basis, p)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
+	"repro/internal/obs"
 	"repro/internal/transcript"
 	"repro/internal/zkerrors"
 )
@@ -58,17 +59,16 @@ func (s *IPAScheme) MaxLen() int { return s.n }
 
 // Commit implements Scheme. Large commitments run against the lazily-built
 // fixed-base table over the shared basis (see fixedbase.go).
-func (s *IPAScheme) Commit(p []ff.Element) curve.Affine {
+func (s *IPAScheme) Commit(p []ff.Element, kc *obs.KernelCounters) curve.Affine {
 	if len(p) > s.n {
 		panic("pcs: polynomial exceeds IPA basis size")
 	}
-	return commitMSM(&ipaCommitTables, s.basis, p)
+	return commitMSM(&ipaCommitTables, s.basis, p, kc)
 }
 
 // Open implements Scheme. The recursion folds vectors a (coefficients) and
 // b (powers of z) along with the basis; each round emits cross terms L, R.
-func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element) *Opening {
-	defer recordOpen()()
+func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element, kc *obs.KernelCounters) *Opening {
 	a := make([]ff.Element, s.n)
 	copy(a, p)
 	b := make([]ff.Element, s.n)
@@ -92,10 +92,10 @@ func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element
 		// L = <a_lo, G_hi> + c_L·U ; R = <a_hi, G_lo> + c_R·U.
 		gHi := curve.BatchToAffine(g[h:n])
 		gLo := curve.BatchToAffine(g[:h])
-		l := curve.MSM(gHi, a[:h])
+		l := curve.MSMCounted(gHi, a[:h], kc)
 		t := curve.ScalarMul(&s.u, &cl)
 		l.AddAssign(&t)
-		r := curve.MSM(gLo, a[h:n])
+		r := curve.MSMCounted(gLo, a[h:n], kc)
 		t = curve.ScalarMul(&s.u, &cr)
 		r.AddAssign(&t)
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/poly"
 	"repro/internal/transcript"
@@ -123,16 +124,15 @@ func (k *KZGScheme) MaxLen() int { return len(k.powers) }
 
 // Commit implements Scheme. Large commitments run against the lazily-built
 // fixed-base table over the shared powers-of-tau (see fixedbase.go).
-func (k *KZGScheme) Commit(p []ff.Element) curve.Affine {
+func (k *KZGScheme) Commit(p []ff.Element, kc *obs.KernelCounters) curve.Affine {
 	if len(p) > len(k.powers) {
 		panic("pcs: polynomial exceeds SRS size")
 	}
-	return commitMSM(&kzgCommitTables, k.powers, p)
+	return commitMSM(&kzgCommitTables, k.powers, p, kc)
 }
 
 // Open implements Scheme: pi = Commit((p - p(z)) / (X - z)).
-func (k *KZGScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element) *Opening {
-	defer recordOpen()()
+func (k *KZGScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element, kc *obs.KernelCounters) *Opening {
 	y := poly.Eval(p, z)
 	shifted := append([]ff.Element(nil), p...)
 	if len(shifted) == 0 {
@@ -140,7 +140,7 @@ func (k *KZGScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element
 	}
 	shifted[0].Sub(&shifted[0], &y)
 	q := poly.DivideByLinear(shifted, z)
-	pi := k.Commit(q)
+	pi := k.Commit(q, kc)
 	tr.AppendPoint("kzg-witness", pi)
 	return &Opening{KZGWitness: pi}
 }

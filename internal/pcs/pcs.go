@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
+	"repro/internal/obs"
 	"repro/internal/transcript"
 )
 
@@ -56,16 +57,18 @@ func (o *Opening) Size() int {
 	return 32*(len(o.L)+len(o.R)) + 32
 }
 
-// Scheme is the interface shared by both backends.
+// Scheme is the interface shared by both backends. Commit and Open record
+// the MSMs they run into kc, the calling prove's kernel counters
+// (DESIGN.md §11); untraced callers, keygen and tests pass nil.
 type Scheme interface {
 	// Backend identifies the scheme.
 	Backend() Backend
 	// MaxLen is the maximum polynomial length (degree+1) supported.
 	MaxLen() int
 	// Commit returns a binding commitment to the coefficient vector.
-	Commit(p []ff.Element) curve.Affine
+	Commit(p []ff.Element, kc *obs.KernelCounters) curve.Affine
 	// Open proves p(z) == y, absorbing proof messages into tr.
-	Open(tr *transcript.Transcript, p []ff.Element, z ff.Element) *Opening
+	Open(tr *transcript.Transcript, p []ff.Element, z ff.Element, kc *obs.KernelCounters) *Opening
 	// Verify checks an opening against a commitment, mirroring Open's
 	// transcript absorption.
 	Verify(tr *transcript.Transcript, c curve.Affine, z, y ff.Element, o *Opening) error

@@ -32,11 +32,11 @@ func TestOpenVerifyRoundTrip(t *testing.T) {
 	for _, s := range schemes(t, 64) {
 		for _, n := range []int{1, 2, 17, 64} {
 			p := randPoly(n)
-			c := s.Commit(p)
+			c := s.Commit(p, nil)
 			z := ff.Random()
 			y := poly.Eval(p, z)
 			trP := transcript.New("test")
-			o := s.Open(trP, p, z)
+			o := s.Open(trP, p, z, nil)
 			trV := transcript.New("test")
 			if err := s.Verify(trV, c, z, y, o); err != nil {
 				t.Fatalf("%s n=%d: %v", s.Backend(), n, err)
@@ -48,14 +48,14 @@ func TestOpenVerifyRoundTrip(t *testing.T) {
 func TestVerifyRejectsWrongEval(t *testing.T) {
 	for _, s := range schemes(t, 32) {
 		p := randPoly(32)
-		c := s.Commit(p)
+		c := s.Commit(p, nil)
 		z := ff.Random()
 		y := poly.Eval(p, z)
 		var bad ff.Element
 		one := ff.One()
 		bad.Add(&y, &one)
 		trP := transcript.New("test")
-		o := s.Open(trP, p, z)
+		o := s.Open(trP, p, z, nil)
 		trV := transcript.New("test")
 		if err := s.Verify(trV, c, z, bad, o); err == nil {
 			t.Fatalf("%s: accepted wrong evaluation", s.Backend())
@@ -67,11 +67,11 @@ func TestVerifyRejectsWrongCommitment(t *testing.T) {
 	for _, s := range schemes(t, 32) {
 		p := randPoly(32)
 		q := randPoly(32)
-		cQ := s.Commit(q)
+		cQ := s.Commit(q, nil)
 		z := ff.Random()
 		y := poly.Eval(p, z)
 		trP := transcript.New("test")
-		o := s.Open(trP, p, z)
+		o := s.Open(trP, p, z, nil)
 		trV := transcript.New("test")
 		if err := s.Verify(trV, cQ, z, y, o); err == nil {
 			t.Fatalf("%s: accepted proof against wrong commitment", s.Backend())
@@ -82,14 +82,14 @@ func TestVerifyRejectsWrongCommitment(t *testing.T) {
 func TestVerifyRejectsTamperedProof(t *testing.T) {
 	for _, s := range schemes(t, 16) {
 		p := randPoly(16)
-		c := s.Commit(p)
+		c := s.Commit(p, nil)
 		z := ff.Random()
 		y := poly.Eval(p, z)
 		trP := transcript.New("test")
-		o := s.Open(trP, p, z)
+		o := s.Open(trP, p, z, nil)
 		// Tamper.
 		if s.Backend() == KZG {
-			o.KZGWitness = s.Commit(randPoly(4))
+			o.KZGWitness = s.Commit(randPoly(4), nil)
 		} else {
 			o.A.Add(&o.A, &o.A)
 		}
@@ -106,7 +106,7 @@ func TestCommitHomomorphic(t *testing.T) {
 	for _, s := range schemes(t, 16) {
 		p, q := randPoly(16), randPoly(16)
 		sum := poly.Add(p, q)
-		cp, cq, cs := s.Commit(p), s.Commit(q), s.Commit(sum)
+		cp, cq, cs := s.Commit(p, nil), s.Commit(q, nil), s.Commit(sum, nil)
 		j := cp.ToJac()
 		qj := cq.ToJac()
 		j.AddAssign(&qj)
@@ -120,7 +120,7 @@ func TestCommitHomomorphic(t *testing.T) {
 func TestCommitDeterministic(t *testing.T) {
 	for _, s := range schemes(t, 16) {
 		p := randPoly(16)
-		a, b := s.Commit(p), s.Commit(p)
+		a, b := s.Commit(p, nil), s.Commit(p, nil)
 		if !a.Equal(&b) {
 			t.Fatalf("%s: commitment not deterministic", s.Backend())
 		}
@@ -132,8 +132,8 @@ func TestOpeningSize(t *testing.T) {
 	i, _ := New(IPA, 64)
 	p := randPoly(64)
 	z := ff.Random()
-	ok := k.Open(transcript.New("t"), p, z)
-	oi := i.Open(transcript.New("t"), p, z)
+	ok := k.Open(transcript.New("t"), p, z, nil)
+	oi := i.Open(transcript.New("t"), p, z, nil)
 	if ok.Size() != 32 {
 		t.Fatalf("KZG opening size %d, want 32", ok.Size())
 	}
@@ -150,7 +150,7 @@ func TestOversizePolyPanics(t *testing.T) {
 			t.Fatal("expected panic on oversize poly")
 		}
 	}()
-	k.Commit(randPoly(9))
+	k.Commit(randPoly(9), nil)
 }
 
 func TestIPAPadding(t *testing.T) {
@@ -160,10 +160,10 @@ func TestIPAPadding(t *testing.T) {
 		t.Fatalf("IPA padded size %d, want 16", s.MaxLen())
 	}
 	p := randPoly(7)
-	c := s.Commit(p)
+	c := s.Commit(p, nil)
 	z := ff.Random()
 	y := poly.Eval(p, z)
-	o := s.Open(transcript.New("t"), p, z)
+	o := s.Open(transcript.New("t"), p, z, nil)
 	if err := s.Verify(transcript.New("t"), c, z, y, o); err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,8 @@ func TestKZGSRSDeterministic(t *testing.T) {
 	// (the SRS stands in for the shared powers-of-tau ceremony artifact,
 	// so provers and verifiers in different processes must agree).
 	p := randPoly(16)
-	a := NewKZG(16).Commit(p)
-	b := NewKZG(32).Commit(p) // larger instance shares the same powers
+	a := NewKZG(16).Commit(p, nil)
+	b := NewKZG(32).Commit(p, nil) // larger instance shares the same powers
 	if !a.Equal(&b) {
 		t.Fatal("KZG commitments differ across instances")
 	}
@@ -183,8 +183,8 @@ func TestKZGSRSDeterministic(t *testing.T) {
 
 func TestIPABasisDeterministic(t *testing.T) {
 	p := randPoly(16)
-	a := NewIPA(16).Commit(p)
-	b := NewIPA(16).Commit(p)
+	a := NewIPA(16).Commit(p, nil)
+	b := NewIPA(16).Commit(p, nil)
 	if !a.Equal(&b) {
 		t.Fatal("IPA commitments differ across instances")
 	}
@@ -197,8 +197,8 @@ func TestOpenAtDomainPoint(t *testing.T) {
 		var negZ ff.Element
 		negZ.Neg(&z)
 		p := []ff.Element{negZ, ff.One()} // X - z
-		c := s.Commit(p)
-		o := s.Open(transcript.New("t"), p, z)
+		c := s.Commit(p, nil)
+		o := s.Open(transcript.New("t"), p, z, nil)
 		if err := s.Verify(transcript.New("t"), c, z, ff.Zero(), o); err != nil {
 			t.Fatalf("%s: opening at root failed: %v", s.Backend(), err)
 		}

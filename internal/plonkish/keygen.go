@@ -198,7 +198,7 @@ func Setup(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKe
 		p := append([]ff.Element(nil), vals...)
 		pk.Domain.IFFT(p)
 		polys[i] = p
-		commits[i] = scheme.Commit(p)
+		commits[i] = scheme.Commit(p, nil)
 	})
 
 	return finishKeys(pk, fixedCommits, sigmaCommits)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
-	"repro/internal/obs"
 	"repro/internal/pcs"
 	"repro/internal/zkerrors"
 )
@@ -50,16 +49,11 @@ func TestKeyMaterialRoundTripAndSetupEquivalence(t *testing.T) {
 
 		// Material-based setup must do zero MSM work and yield keys that
 		// produce byte-identical proofs and an identical VK digest.
-		var counters obs.KernelCounters
-		prev := curve.SetKernelTrace(&counters)
+		before := curve.MSMCalls()
 		pk2, vk2, err := SetupFromMaterial(testCircuit(), n, testFixed(n), backend, &m)
-		curve.SetKernelTrace(prev)
+		msms := curve.MSMCalls() - before
 		if err != nil {
 			t.Fatalf("%v SetupFromMaterial: %v", backend, err)
-		}
-		var msms int64
-		for i := range counters.MSM {
-			msms += counters.MSM[i].Load()
 		}
 		if msms != 0 {
 			t.Fatalf("%v SetupFromMaterial performed %d MSMs, want 0", backend, msms)
@@ -72,11 +66,13 @@ func TestKeyMaterialRoundTripAndSetupEquivalence(t *testing.T) {
 		}
 
 		// VK-only setup: no fixed values, no MSMs, verifies real proofs.
-		prev = curve.SetKernelTrace(&counters)
+		before = curve.MSMCalls()
 		vkOnly, err := SetupVK(testCircuit(), n, backend, &m)
-		curve.SetKernelTrace(prev)
 		if err != nil {
 			t.Fatalf("%v SetupVK: %v", backend, err)
+		}
+		if msms := curve.MSMCalls() - before; msms != 0 {
+			t.Fatalf("%v SetupVK performed %d MSMs, want 0", backend, msms)
 		}
 		proof, err := Prove(pk, testInstance(24), testWitness(false, false, false))
 		if err != nil {

@@ -80,28 +80,19 @@ func ProveWithRand(pk *ProvingKey, instance [][]ff.Element, w Witness, rng io.Re
 }
 
 // ProveTraced is Prove with per-stage observability (DESIGN.md §11): when
-// trace is non-nil it records wall time per pipeline stage and arms the
-// kernel counter sinks in curve, poly, and pcs for the duration of the
-// call. Tracing is proof-transparent — it never touches the transcript or
-// the witness, so the proof bytes are identical with tracing on or off —
-// and a nil trace costs only pointer checks. The kernel sinks are
-// process-wide, so at most one traced Prove should run at a time (untraced
-// concurrent proves would merely leak their kernel counts into the trace).
+// trace is non-nil it records wall time per pipeline stage, and the call
+// hands the trace's kernel counters to every commitment, opening and
+// transform it runs. Tracing is proof-transparent — it never touches the
+// transcript or the witness, so the proof bytes are identical with tracing
+// on or off — and a nil trace costs only pointer checks. The counters
+// belong to this call alone, so traced and untraced proves may run
+// concurrently.
 func ProveTraced(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace) (*Proof, error) {
 	return prove(pk, instance, w, trace, nil)
 }
 
 func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace, rng io.Reader) (*Proof, error) {
-	if trace != nil {
-		prevCurve := curve.SetKernelTrace(trace.KernelSink())
-		prevPoly := poly.SetKernelTrace(trace.KernelSink())
-		prevPCS := pcs.SetKernelTrace(trace.KernelSink())
-		defer func() {
-			curve.SetKernelTrace(prevCurve)
-			poly.SetKernelTrace(prevPoly)
-			pcs.SetKernelTrace(prevPCS)
-		}()
-	}
+	kc := trace.KernelSink()
 	defer trace.Finish()
 	trace.Stage(obs.StageCommit)
 
@@ -138,6 +129,7 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	ifft := func(vals []ff.Element) []ff.Element {
 		p := append([]ff.Element(nil), vals...)
 		pk.Domain.IFFT(p)
+		kc.RecordFFT(pk.Domain.N)
 		return p
 	}
 	register := func(c Col, vals, coeffs []ff.Element) {
@@ -148,7 +140,7 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		coeff[c] = coeffs
 	}
 	commitCol := func(c Col, label string) curve.Affine {
-		cm := pk.Scheme.Commit(coeff[c])
+		cm := pk.Scheme.Commit(coeff[c], kc)
 		tr.AppendPoint(label, cm)
 		return cm
 	}
@@ -431,6 +423,7 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		padded := make([]ff.Element, extN)
 		copy(padded, coeff[extCols[i]])
 		pk.ExtDomain.CosetFFT(padded)
+		kc.RecordFFT(extN)
 		return padded
 	})
 	ext := make(map[Col][]ff.Element, len(extCols))
@@ -468,6 +461,7 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		}
 	})
 	pk.ExtDomain.CosetIFFT(numerator)
+	kc.RecordFFT(extN)
 
 	numPieces := pk.DMax - 1
 	if numPieces < 1 {
@@ -486,7 +480,7 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 			copy(piece, numerator[lo:hi])
 		}
 		pieces[i] = piece
-		proof.QuotientCommits[i] = pk.Scheme.Commit(piece)
+		proof.QuotientCommits[i] = pk.Scheme.Commit(piece, kc)
 		tr.AppendPoint("quotient", proof.QuotientCommits[i])
 	}
 	// Sanity: coefficients beyond the committed pieces must vanish, or the
@@ -547,7 +541,9 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	})
 	proof.Openings = make([]*pcs.Opening, 0, len(rots))
 	for ri, rot := range rots {
-		proof.Openings = append(proof.Openings, pk.Scheme.Open(tr, combined[ri], pointOf(rot)))
+		done := kc.TimeOpen()
+		proof.Openings = append(proof.Openings, pk.Scheme.Open(tr, combined[ri], pointOf(rot), kc))
+		done()
 	}
 	return proof, nil
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/curve"
 	"repro/internal/ff"
 	"repro/internal/obs"
 	"repro/internal/pcs"
@@ -86,22 +89,76 @@ func TestTraceReportShape(t *testing.T) {
 	}
 }
 
-// TestProveAfterTraceLeavesSinksDisarmed makes sure ProveTraced restores the
-// kernel sinks on exit: a later untraced Prove must not record into the old
-// trace's counters.
-func TestProveAfterTraceLeavesSinksDisarmed(t *testing.T) {
-	pk, _ := setup(t, pcs.KZG)
-	trace := obs.NewTrace()
-	if _, err := ProveTraced(pk, testInstance(24), testWitness(false, false, false), trace); err != nil {
-		t.Fatal(err)
-	}
-	before := trace.Report()
-	if _, err := Prove(pk, testInstance(24), testWitness(false, false, false)); err != nil {
-		t.Fatal(err)
-	}
-	after := trace.Report()
-	if before.FFTCount != after.FFTCount || before.MSMCount != after.MSMCount {
-		t.Fatalf("untraced Prove recorded into a finished trace: fft %d->%d msm %d->%d",
-			before.FFTCount, after.FFTCount, before.MSMCount, after.MSMCount)
+// TestConcurrentTracedProves runs two traced proves and one untraced prove
+// at once. Each trace must carry exactly a solo traced prove's kernel
+// counts (nothing leaks between concurrent calls), the traced counts plus
+// the untraced prove's own MSMs must account for the whole delta of the
+// process MSM total, and every proof must verify. The 256-row domain keeps
+// the commitments above the fixed-base table's minimum length, so the
+// table path is counted too.
+func TestConcurrentTracedProves(t *testing.T) {
+	const n = 256
+	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		t.Run(backend.String(), func(t *testing.T) {
+			pk, vk, err := Setup(testCircuit(), n, testFixed(n), backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo := obs.NewTrace()
+			if _, err := ProveTraced(pk, testInstance(24), testWitness(false, false, false), solo); err != nil {
+				t.Fatal(err)
+			}
+			want := solo.Report()
+			if want.FixedMSMCount == 0 {
+				t.Fatal("no commitment ran through the fixed-base table; the test would not cover it")
+			}
+
+			traces := []*obs.Trace{obs.NewTrace(), obs.NewTrace(), nil}
+			proofs := make([]*Proof, len(traces))
+			errs := make([]error, len(traces))
+			before := curve.MSMCalls()
+			var wg sync.WaitGroup
+			for i := range traces {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					proofs[i], errs[i] = ProveTraced(pk, testInstance(24), testWitness(false, false, false), traces[i])
+				}(i)
+			}
+			wg.Wait()
+			delta := curve.MSMCalls() - before
+
+			sum := want.MSMCount // the untraced prove's own MSMs
+			for i, tr := range traces {
+				if errs[i] != nil {
+					t.Fatalf("prove %d: %v", i, errs[i])
+				}
+				if err := Verify(vk, testInstance(24), proofs[i]); err != nil {
+					t.Fatalf("prove %d: proof does not verify: %v", i, err)
+				}
+				if tr == nil {
+					continue
+				}
+				got := tr.Report()
+				sum += got.MSMCount
+				for _, c := range []struct {
+					name      string
+					got, want any
+				}{
+					{"msm_by_size", got.MSMBySize, want.MSMBySize},
+					{"fixed_msm_by_size", got.FixedMSMBySize, want.FixedMSMBySize},
+					{"glv_splits", got.GLVSplits, want.GLVSplits},
+					{"fft_by_size", got.FFTBySize, want.FFTBySize},
+					{"opens", got.Opens, want.Opens},
+				} {
+					if !reflect.DeepEqual(c.got, c.want) {
+						t.Fatalf("trace %d: %s = %v, solo prove has %v", i, c.name, c.got, c.want)
+					}
+				}
+			}
+			if delta != sum {
+				t.Fatalf("process MSM total moved by %d; traces plus the untraced prove account for %d", delta, sum)
+			}
+		})
 	}
 }

@@ -235,7 +235,6 @@ func (d *Domain) FFT(v []ff.Element) {
 	if len(v) != d.N {
 		panic("poly: FFT length mismatch")
 	}
-	kernelTrace.Load().RecordFFT(d.N)
 	ntt(v, d.elements())
 }
 
@@ -244,7 +243,6 @@ func (d *Domain) IFFT(v []ff.Element) {
 	if len(v) != d.N {
 		panic("poly: IFFT length mismatch")
 	}
-	kernelTrace.Load().RecordFFT(d.N)
 	ntt(v, d.invTwiddles())
 	scaleUniform(v, d.NInv)
 }
@@ -255,7 +253,6 @@ func (d *Domain) CosetFFT(v []ff.Element) {
 	if len(v) != d.N {
 		panic("poly: CosetFFT length mismatch")
 	}
-	kernelTrace.Load().RecordFFT(d.N)
 	mulByTable(v, d.cosetScaleIn())
 	ntt(v, d.elements())
 }
@@ -266,7 +263,6 @@ func (d *Domain) CosetIFFT(v []ff.Element) {
 	if len(v) != d.N {
 		panic("poly: CosetIFFT length mismatch")
 	}
-	kernelTrace.Load().RecordFFT(d.N)
 	ntt(v, d.invTwiddles())
 	mulByTable(v, d.cosetScaleOut())
 }

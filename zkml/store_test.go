@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
-	"repro/internal/obs"
 	"repro/internal/pcs"
 )
 
@@ -79,18 +78,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 		// A cold load from the store must do zero keygen work: no MSMs, no
 		// SRS extension, no comb-table builds, no IPA basis derivation.
-		var counters obs.KernelCounters
-		prevTrace := curve.SetKernelTrace(&counters)
+		msmsBefore := curve.MSMCalls()
 		before := pcs.SetupWorkSnapshot()
 		loaded, err := LoadSystem(dir, spec.Build(), spec.Input(1), o)
 		setup := pcs.SetupWorkSnapshot().Sub(before)
-		curve.SetKernelTrace(prevTrace)
+		msms := curve.MSMCalls() - msmsBefore
 		if err != nil {
 			t.Fatalf("%v load: %v", backend, err)
-		}
-		var msms int64
-		for i := range counters.MSM {
-			msms += counters.MSM[i].Load()
 		}
 		if msms != 0 {
 			t.Fatalf("%v LoadSystem performed %d MSMs, want 0", backend, msms)

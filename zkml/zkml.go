@@ -224,8 +224,8 @@ func (s *System) Prove(in *Input) (*Proof, error) {
 // additionally returns an obs.Report with per-stage wall times and kernel
 // counters (MSM/FFT counts by size, batch-inversion flushes, opening
 // times). Tracing is proof-transparent — the proof bytes are identical to
-// Prove's. The kernel sinks are process-wide, so run at most one traced
-// prove at a time.
+// Prove's. The counters belong to this call, so traced proves may run
+// concurrently with each other and with untraced ones.
 func (s *System) ProveTraced(in *Input) (*Proof, *obs.Report, error) {
 	return s.Plan.ProveTraced(s.Keys, in)
 }
