@@ -12,14 +12,16 @@
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
 #   make bench       prover benchmarks (see EXPERIMENTS.md)
 #   make bench-smoke kernel benchmarks once each, so bench code can't rot
-#   make trace-smoke fit the cost model from traced proves, prove once more
-#                    with tracing, and gate the trace report on cost-model
-#                    accuracy (trace-check -max-rel-err)
+#   make trace-smoke fit the cost model from traced proves, prove twice more
+#                    with tracing (compiled, then loaded from the key store),
+#                    and gate both trace reports on cost-model accuracy
+#                    (trace-check -max-rel-err)
 #   make daemon-smoke bring up the zkmld proving daemon, prove + verify over
 #                    HTTP, and assert the warm path does zero keygen/SRS
 #                    work while /stats surfaces the request trace
 #   make shard-smoke sharded (layer-wise) mnist prove + verify end to end on
-#                    both backends via the CLI (DESIGN.md §16)
+#                    both backends via the CLI (DESIGN.md §16), plus a
+#                    one-chunk round trip across both -shards spellings
 #   make lint        zkml-lint over the whole module (fsio-atomic,
 #                    determinism, panic-decode; see DESIGN.md §15)
 #   make audit-smoke static circuit audit (`zkml audit`) of every bundled
@@ -39,7 +41,9 @@ FUZZ_TARGETS = \
 	./internal/plonkish/:FuzzKeyMaterialUnmarshal \
 	./internal/model/:FuzzModelLoad \
 	./internal/curve/:FuzzPointSetBytes \
-	./internal/curve/:FuzzGLVDecompose
+	./internal/curve/:FuzzGLVDecompose \
+	./internal/core/:FuzzDecodeArtifact \
+	./zkml/:FuzzImportProof
 FUZZTIME ?= 5s
 
 .PHONY: ci vet build test race fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke lint audit-smoke zkbench-check
@@ -85,13 +89,17 @@ bench-smoke:
 # stage is present, the cost-model comparison is populated, and — the
 # estimator-accuracy gate — the fitted model's total |rel_err| stays within
 # the threshold (DESIGN.md §11/§12). The raw unfitted model sat at -0.83.
+# The second traced prove loads its system from the key store the first one
+# filled, so a loaded system must price its trace as well as a compiled one.
 TRACE_MAX_REL_ERR ?= 0.5
 trace-smoke:
-	@tmp=$$(mktemp -t zkml-trace.XXXXXX.json); calib=$$(mktemp -t zkml-calib.XXXXXX.json); \
+	@tmp=$$(mktemp -t zkml-trace.XXXXXX.json); calib=$$(mktemp -t zkml-calib.XXXXXX.json); keys=$$(mktemp -d -t zkml-keys.XXXXXX); \
 	$(GO) run ./cmd/zkml calibrate -fit -min-k 8 -max-k 12 -out $$calib && \
-	ZKML_CALIBRATION=$$calib $(GO) run ./cmd/zkml prove -model mnist -scale-bits 5 -lookup-bits 9 -max-cols 16 -trace $$tmp && \
+	ZKML_CALIBRATION=$$calib $(GO) run ./cmd/zkml prove -model mnist -scale-bits 5 -lookup-bits 9 -max-cols 16 -keys $$keys -trace $$tmp && \
+	$(GO) run ./cmd/zkml trace-check -in $$tmp -max-rel-err $(TRACE_MAX_REL_ERR) && \
+	ZKML_CALIBRATION=$$calib $(GO) run ./cmd/zkml prove -model mnist -scale-bits 5 -lookup-bits 9 -max-cols 16 -keys $$keys -trace $$tmp && \
 	$(GO) run ./cmd/zkml trace-check -in $$tmp -max-rel-err $(TRACE_MAX_REL_ERR); \
-	st=$$?; rm -f $$tmp $$calib; exit $$st
+	st=$$?; rm -rf $$tmp $$calib $$keys; exit $$st
 
 # End-to-end daemon smoke check: start zkmld, prove and verify over HTTP,
 # assert a warm prove does zero keygen/SRS-extension work (setup-work
@@ -115,11 +123,17 @@ audit-smoke:
 # Sharded proving smoke check (DESIGN.md §16): split mnist into 3 chunks,
 # prove the chunks in parallel, and verify the per-chunk proofs plus the
 # boundary-commitment chain — on both backends, through the exported proof
-# bytes, at the fast CI circuit parameters.
+# bytes, at the fast CI circuit parameters. Then one round trip that proves
+# without -shards and verifies with -shards 1 against the key store the
+# prove filled: both spellings are the one one-chunk path and store entry.
 shard-smoke:
-	@tmp=$$(mktemp -t zkml-shard.XXXXXX.bin); \
+	@tmp=$$(mktemp -t zkml-shard.XXXXXX.bin); keys=$$(mktemp -d -t zkml-shard-keys.XXXXXX); \
 	for b in kzg ipa; do \
 		echo "shard-smoke: backend $$b"; \
 		$(GO) run ./cmd/zkml prove -model mnist -shards 3 -backend $$b -scale-bits 5 -lookup-bits 9 -max-cols 16 -out $$tmp && \
-		$(GO) run ./cmd/zkml verify -model mnist -shards 3 -backend $$b -scale-bits 5 -lookup-bits 9 -max-cols 16 -in $$tmp || { rm -f $$tmp; exit 1; }; \
-	done; rm -f $$tmp
+		$(GO) run ./cmd/zkml verify -model mnist -shards 3 -backend $$b -scale-bits 5 -lookup-bits 9 -max-cols 16 -in $$tmp || { rm -rf $$tmp $$keys; exit 1; }; \
+	done; \
+	echo "shard-smoke: one chunk, default -shards"; \
+	$(GO) run ./cmd/zkml prove -model mnist -scale-bits 5 -lookup-bits 9 -max-cols 16 -keys $$keys -out $$tmp && \
+	$(GO) run ./cmd/zkml verify -model mnist -shards 1 -scale-bits 5 -lookup-bits 9 -max-cols 16 -keys $$keys -in $$tmp; \
+	st=$$?; rm -rf $$tmp $$keys; exit $$st

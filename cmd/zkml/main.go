@@ -10,9 +10,9 @@
 //	zkml prove -model mnist [-seed 7]         compile, prove, verify one inference
 //	zkml prove -model mnist -keys keys/       same, loading (or filling) the key store
 //	zkml prove -model mnist -trace t.json     same, with a per-stage trace report
-//	zkml prove -model mnist -shards 3         sharded: split into 3 chunk circuits proved in parallel
-//	zkml verify -model mnist -shards 3 -in p  verify a serialized sharded proof chain
+//	zkml prove -model mnist -shards 3         split into 3 chunk circuits proved in parallel
 //	zkml verify -model mnist -in proof.bin    verify a serialized proof (recompiles)
+//	zkml verify -model mnist -shards 3 -in p  ... a proof of the 3-chunk system
 //	zkml verify -keys keys/ -in proof.bin     verify against the stored VK — no keygen
 //	zkml trace-check -in t.json               validate a trace report (CI smoke check)
 //	zkml trace-check -in t.json -max-rel-err 0.5   ... and gate on cost-model accuracy
@@ -174,32 +174,22 @@ func cmdOptimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards > 1 {
-		sp, err := zkml.OptimizeSharded(spec.Build(), spec.Input(*seed), *shards, o)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("sharded plan: %d chunks, %d boundary elems, est %.2fs, est proof %d B\n",
-			len(sp.Chunks), sp.Part.BoundaryElems, sp.Cost, sp.Size)
-		for c, p := range sp.Chunks {
-			fmt.Printf("  chunk %d: %d nodes, cols=%-3d rows=2^%-2d (%d used) dot=%-5s est=%8.3fs size=%6dB\n",
-				c, len(p.Graph.Nodes), p.Config.NumCols, p.K, p.UsedRows, p.Config.Dot, p.Cost, p.Size)
-		}
-		return nil
-	}
-	plan, cands, stats, err := zkml.Optimize(spec.Build(), spec.Input(*seed), o)
+	sp, err := zkml.OptimizeSharded(spec.Build(), spec.Input(*seed), *shards, o)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("optimizer: %d candidates evaluated, %d pruned, %v\n",
-		stats.Evaluated, stats.Pruned, stats.Duration.Round(time.Millisecond))
-	fmt.Printf("chosen: %d cols, 2^%d rows (%d used), dot=%s constdot=%v, est %.2fs, est proof %d B\n",
-		plan.Config.NumCols, plan.K, plan.UsedRows, plan.Config.Dot, plan.Config.UseConstDot,
-		plan.Cost, plan.Size)
-	fmt.Println("candidates:")
-	for _, c := range cands {
-		fmt.Printf("  cols=%-3d rows=2^%-2d dot=%-5s constdot=%-5v est=%8.3fs size=%6dB\n",
-			c.Config.NumCols, c.K, c.Config.Dot, c.Config.UseConstDot, c.Cost, c.Size)
+		sp.Stats.Evaluated, sp.Stats.Pruned, sp.Stats.Duration.Round(time.Millisecond))
+	fmt.Printf("plan: %d chunk(s), %d boundary elems, est %.2fs, est proof %d B\n",
+		len(sp.Chunks), sp.Part.BoundaryElems, sp.Cost, sp.Size)
+	for c, p := range sp.Chunks {
+		fmt.Printf("chunk %d: %d nodes, %d cols, 2^%d rows (%d used), dot=%s constdot=%v, est %.3fs, est proof %d B\n",
+			c, len(p.Graph.Nodes), p.Config.NumCols, p.K, p.UsedRows, p.Config.Dot, p.Config.UseConstDot, p.Cost, p.Size)
+		fmt.Println("  candidates:")
+		for _, cand := range sp.Candidates[c] {
+			fmt.Printf("    cols=%-3d rows=2^%-2d dot=%-5s constdot=%-5v est=%8.3fs size=%6dB\n",
+				cand.Config.NumCols, cand.K, cand.Config.Dot, cand.Config.UseConstDot, cand.Cost, cand.Size)
+		}
 	}
 	return nil
 }
@@ -223,25 +213,7 @@ func cmdKeygen(args []string) error {
 		return err
 	}
 	start := time.Now()
-	if *shards > 1 {
-		sys, err := zkml.CompileSharded(spec.Build(), spec.Input(1), *shards, o)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("compiled in %v: %s", time.Since(start).Round(time.Millisecond), sys.Describe())
-		path, err := sys.Save(*out)
-		if err != nil {
-			return err
-		}
-		st, err := os.Stat(path)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d bytes); reuse with: zkml prove -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -shards %d -keys %s\n",
-			path, st.Size(), *name, *backend, *sb, *lb, *mc, *shards, *out)
-		return nil
-	}
-	sys, err := zkml.Compile(spec.Build(), spec.Input(1), o)
+	sys, err := zkml.CompileSharded(spec.Build(), spec.Input(1), *shards, o)
 	if err != nil {
 		return err
 	}
@@ -254,40 +226,16 @@ func cmdKeygen(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d bytes); reuse with: zkml prove -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -keys %s\n",
-		path, st.Size(), *name, *backend, *sb, *lb, *mc, *out)
+	fmt.Printf("wrote %s (%d bytes); reuse with: zkml prove -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -shards %d -keys %s\n",
+		path, st.Size(), *name, *backend, *sb, *lb, *mc, *shards, *out)
 	return nil
 }
 
-// loadOrCompile returns a proving system for (model, options). With a key
-// store directory it loads the persisted artifact — no optimizer sweep, no
-// keygen — and on a miss compiles once and fills the store for next time.
-func loadOrCompile(keysDir string, spec model.Spec, o zkml.Options) (*zkml.System, error) {
-	g, sample := spec.Build(), spec.Input(1)
-	if keysDir != "" {
-		sys, err := zkml.LoadSystem(keysDir, g, sample, o)
-		if err == nil {
-			return sys, nil
-		}
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-	}
-	sys, err := zkml.Compile(g, sample, o)
-	if err != nil {
-		return nil, err
-	}
-	if keysDir != "" {
-		if _, err := sys.Save(keysDir); err != nil {
-			return nil, err
-		}
-	}
-	return sys, nil
-}
-
-// loadOrCompileSharded is loadOrCompile for sharded systems: load the
-// persisted sharded artifact when present, else compile and fill the store.
-func loadOrCompileSharded(keysDir string, spec model.Spec, shards int, o zkml.Options) (*zkml.ShardedSystem, error) {
+// loadOrCompile returns a proving system for (model, shards, options).
+// With a key store directory it loads the persisted artifact — no
+// optimizer sweep, no keygen — and on a miss compiles once and fills the
+// store for next time.
+func loadOrCompile(keysDir string, spec model.Spec, shards int, o zkml.Options) (*zkml.ShardedSystem, error) {
 	g, sample := spec.Build(), spec.Input(1)
 	if keysDir != "" {
 		sys, err := zkml.LoadShardedSystem(keysDir, g, sample, shards, o)
@@ -310,54 +258,6 @@ func loadOrCompileSharded(keysDir string, spec model.Spec, shards int, o zkml.Op
 	return sys, nil
 }
 
-// proveSharded is the `zkml prove -shards N` path: compile (or load) the
-// per-chunk systems, prove the chunks in parallel, verify the chain, and
-// optionally export the sharded proof.
-func proveSharded(spec model.Spec, shards int, o zkml.Options, keysDir, out string, seed int64, name, backend string, sb, lb, mc int) error {
-	start := time.Now()
-	sys, err := loadOrCompileSharded(keysDir, spec, shards, o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ready in %v: %s", time.Since(start).Round(time.Millisecond), sys.Describe())
-
-	start = time.Now()
-	proof, err := sys.Prove(spec.Input(seed))
-	if err != nil {
-		return err
-	}
-	proofBytes := 0
-	for _, pf := range proof.Chunks {
-		proofBytes += pf.Proof.Size()
-	}
-	fmt.Printf("proved %d chunks in %v, proofs %d bytes total\n",
-		len(proof.Chunks), time.Since(start).Round(time.Millisecond), proofBytes)
-
-	start = time.Now()
-	if err := sys.Verify(proof); err != nil {
-		return err
-	}
-	fmt.Printf("verified in %v\n", time.Since(start).Round(time.Microsecond))
-	if out != "" {
-		data, err := sys.ExportProof(proof)
-		if err != nil {
-			return err
-		}
-		if err := fsio.WriteFileAtomic(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d bytes); check with: zkml verify -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -shards %d -in %s\n",
-			out, len(data), name, backend, sb, lb, mc, shards, out)
-	}
-	outs := sys.Outputs(proof)
-	limit := len(outs)
-	if limit > 16 {
-		limit = 16
-	}
-	fmt.Printf("public outputs (%d values): %.4f\n", len(outs), outs[:limit])
-	return nil
-}
-
 func cmdProve(args []string) error {
 	fs := flag.NewFlagSet("prove", flag.ExitOnError)
 	name, backend, sb, lb, mc, seed, shards := commonFlags(fs)
@@ -375,21 +275,15 @@ func cmdProve(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards > 1 {
-		if *tracePath != "" {
-			return fmt.Errorf("-trace is not supported with -shards > 1 (stage tracing is per-circuit)")
-		}
-		return proveSharded(spec, *shards, o, *keysDir, *out, *seed, *name, *backend, *sb, *lb, *mc)
-	}
 	start := time.Now()
-	sys, err := loadOrCompile(*keysDir, spec, o)
+	sys, err := loadOrCompile(*keysDir, spec, *shards, o)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("ready in %v: %s\n", time.Since(start).Round(time.Millisecond), sys.Describe())
 
 	start = time.Now()
-	var proof *zkml.Proof
+	var proof *zkml.ShardedProof
 	if *tracePath != "" {
 		var rep *obs.Report
 		proof, rep, err = sys.ProveTraced(spec.Input(*seed))
@@ -405,7 +299,12 @@ func cmdProve(args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("proved in %v, proof %d bytes\n", time.Since(start).Round(time.Millisecond), proof.Proof.Size())
+	proofBytes := 0
+	for _, pf := range proof.Chunks {
+		proofBytes += pf.Proof.Size()
+	}
+	fmt.Printf("proved %d chunk(s) in %v, proof %d bytes\n",
+		len(proof.Chunks), time.Since(start).Round(time.Millisecond), proofBytes)
 
 	start = time.Now()
 	if err := sys.Verify(proof); err != nil {
@@ -420,8 +319,8 @@ func cmdProve(args []string) error {
 		if err := fsio.WriteFileAtomic(*out, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d bytes); check with: zkml verify -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -in %s\n",
-			*out, len(data), *name, *backend, *sb, *lb, *mc, *out)
+		fmt.Printf("wrote %s (%d bytes); check with: zkml verify -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -shards %d -in %s\n",
+			*out, len(data), *name, *backend, *sb, *lb, *mc, *shards, *out)
 	}
 	outs := sys.Outputs(proof)
 	limit := len(outs)
@@ -446,7 +345,7 @@ type traceFile struct {
 }
 
 // writeTrace prints the stage breakdown and writes the trace report file.
-func writeTrace(path, model, backend string, sys *zkml.System, rep *obs.Report) error {
+func writeTrace(path, model, backend string, sys *zkml.ShardedSystem, rep *obs.Report) error {
 	cmp := sys.CompareEstimate(rep)
 	fmt.Printf("trace: %.3fs total, %d MSMs, %d FFTs, %d batch-inv flushes, %d opens (%.3fs)\n",
 		rep.TotalSeconds, rep.MSMCount, rep.FFTCount, rep.BatchInvFlushes, rep.Opens, rep.OpenSeconds)
@@ -531,54 +430,20 @@ func cmdTraceCheck(args []string) error {
 }
 
 // verifierSystem returns a system able to verify proofs for (model,
-// options). With a key store it reconstructs the verifying key straight
-// from the persisted commitments — no optimizer sweep, no keygen MSMs, no
-// SRS extension, and no proving key at all. Without one it falls back to a
-// full deterministic recompile (weights and layout are deterministic per
-// model, so the VK comes out identical — just slowly).
-func verifierSystem(keysDir string, spec model.Spec, o zkml.Options) (*zkml.System, error) {
+// shards, options). With a key store it reconstructs the verifying keys
+// straight from the persisted commitments — no optimizer sweep, no keygen
+// MSMs, no SRS extension, and no proving key at all. Without one it falls
+// back to a full deterministic recompile (weights and layout are
+// deterministic per model, so the VKs come out identical — just slowly).
+func verifierSystem(keysDir string, spec model.Spec, shards int, o zkml.Options) (*zkml.ShardedSystem, error) {
 	if keysDir != "" {
-		sys, err := zkml.LoadVerifier(keysDir, spec.Build(), spec.Input(1), o)
+		sys, err := zkml.LoadShardedVerifier(keysDir, spec.Build(), spec.Input(1), shards, o)
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("key store has no artifact for this model/options; run `zkml keygen` first: %w", err)
+			return nil, fmt.Errorf("key store has no artifact for this model/options; run `zkml keygen -shards %d` first: %w", shards, err)
 		}
 		return sys, err
 	}
-	return zkml.Compile(spec.Build(), spec.Input(1), o)
-}
-
-// verifySharded is the `zkml verify -shards N` path.
-func verifySharded(spec model.Spec, shards int, o zkml.Options, keysDir string, data []byte) error {
-	var sys *zkml.ShardedSystem
-	var err error
-	if keysDir != "" {
-		sys, err = zkml.LoadShardedVerifier(keysDir, spec.Build(), spec.Input(1), shards, o)
-		if errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("key store has no sharded artifact for this model/options; run `zkml keygen -shards %d` first: %w", shards, err)
-		}
-	} else {
-		sys, err = zkml.CompileSharded(spec.Build(), spec.Input(1), shards, o)
-	}
-	if err != nil {
-		return err
-	}
-	proof, err := sys.ImportProof(data)
-	if err != nil {
-		if errors.Is(err, zkml.ErrMalformedProof) {
-			return fmt.Errorf("proof MALFORMED: %w", err)
-		}
-		return err
-	}
-	start := time.Now()
-	if err := sys.Verify(proof); err != nil {
-		if errors.Is(err, zkml.ErrMalformedProof) {
-			return fmt.Errorf("proof MALFORMED: %w", err)
-		}
-		return fmt.Errorf("proof INVALID: %w", err)
-	}
-	fmt.Printf("sharded proof valid (%d chunks, verified in %v); outputs: %.4f\n",
-		sys.Shards(), time.Since(start).Round(time.Microsecond), sys.Outputs(proof))
-	return nil
+	return zkml.CompileSharded(spec.Build(), spec.Input(1), shards, o)
 }
 
 func cmdVerify(args []string) error {
@@ -600,14 +465,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards > 1 {
-		data, err := os.ReadFile(*in)
-		if err != nil {
-			return err
-		}
-		return verifySharded(spec, *shards, o, *keysDir, data)
-	}
-	sys, err := verifierSystem(*keysDir, spec, o)
+	sys, err := verifierSystem(*keysDir, spec, *shards, o)
 	if err != nil {
 		return err
 	}
@@ -629,8 +487,8 @@ func cmdVerify(args []string) error {
 		}
 		return fmt.Errorf("proof INVALID: %w", err)
 	}
-	fmt.Printf("proof valid (verified in %v); outputs: %.4f\n",
-		time.Since(start).Round(time.Microsecond), sys.Outputs(proof))
+	fmt.Printf("proof valid (%d chunk(s), verified in %v); outputs: %.4f\n",
+		sys.Shards(), time.Since(start).Round(time.Microsecond), sys.Outputs(proof))
 	return nil
 }
 
@@ -683,18 +541,9 @@ func cmdAudit(args []string) error {
 			// proved — so the deterministic shape-derived calibration
 			// keeps the audit instant and machine-independent.
 			o.Calibration = costmodel.StaticCalibration()
-			var reps []*zkml.AuditReport
-			if *shards > 1 {
-				reps, err = zkml.AuditSharded(spec.Build(), spec.Input(*seed), *shards, o)
-				if err != nil {
-					return fmt.Errorf("%s/%s: %w", m, bk, err)
-				}
-			} else {
-				rep, err := zkml.Audit(spec.Build(), spec.Input(*seed), o)
-				if err != nil {
-					return fmt.Errorf("%s/%s: %w", m, bk, err)
-				}
-				reps = []*zkml.AuditReport{rep}
+			reps, err := zkml.AuditSharded(spec.Build(), spec.Input(*seed), *shards, o)
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", m, bk, err)
 			}
 			for _, rep := range reps {
 				af.Reports = append(af.Reports, rep)

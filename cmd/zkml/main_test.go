@@ -27,7 +27,7 @@ func TestVerifyFromKeysDoesNoProvingWork(t *testing.T) {
 	}
 	o := zkml.Options{ScaleBits: 6, LookupBits: 10, MaxCols: 20,
 		Calibration: costmodel.Calibrate(8, 10)}
-	sys, err := zkml.Compile(spec.Build(), spec.Input(1), o)
+	sys, err := zkml.CompileSharded(spec.Build(), spec.Input(1), 1, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestVerifyFromKeysDoesNoProvingWork(t *testing.T) {
 
 	msmsBefore := curve.MSMCalls()
 	before := pcs.SetupWorkSnapshot()
-	verifier, err := verifierSystem(dir, spec, o)
+	verifier, err := verifierSystem(dir, spec, 1, o)
 	setup := pcs.SetupWorkSnapshot().Sub(before)
 	msms := curve.MSMCalls() - msmsBefore
 	if err != nil {
@@ -63,7 +63,7 @@ func TestVerifyFromKeysDoesNoProvingWork(t *testing.T) {
 	// A populated store also short-circuits the prove side: loading does no
 	// setup work either.
 	before = pcs.SetupWorkSnapshot()
-	warm, err := loadOrCompile(dir, spec, o)
+	warm, err := loadOrCompile(dir, spec, 1, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,10 @@
 // Endpoints:
 //
 //	GET  /healthz   liveness probe
-//	GET  /models    bundled models and their load state
+//	GET  /models    loaded systems, one per cache key (model or model@shards)
 //	GET  /stats     counters, setup-work totals, recent requests
-//	POST /prove     {"model","seed","trace"} -> proof + outputs (+ trace)
-//	POST /verify    {"model","proof"} -> validity
+//	POST /prove     {"model","seed","trace","shards"} -> proof + outputs (+ trace)
+//	POST /verify    {"model","proof","shards"} -> validity
 //
 // Concurrency model: proves are CPU-bound and internally parallel (the
 // proving engine fans out across cores via internal/parallel), so the
@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,24 +72,12 @@ func (c config) withDefaults() config {
 type modelEntry struct {
 	once sync.Once
 
-	sys     *zkml.System        // single-circuit system (shards <= 1)
-	ssys    *zkml.ShardedSystem // sharded system (shards > 1)
+	sys     *zkml.ShardedSystem
 	err     error
 	hash    string
 	source  string // "store" or "compiled"
 	loadDur time.Duration
 	setup   pcs.SetupWork // setup work the load performed
-}
-
-// loaded reports whether the entry holds a usable system of either kind.
-func (e *modelEntry) loaded() bool { return e.sys != nil || e.ssys != nil }
-
-// describe summarizes whichever system the entry holds.
-func (e *modelEntry) describe() string {
-	if e.ssys != nil {
-		return e.ssys.Describe()
-	}
-	return e.sys.Describe()
 }
 
 // requestRecord is one finished request as surfaced by /stats.
@@ -168,11 +155,11 @@ func (s *server) cached(key string) bool {
 // system returns the compiled system for (model, shards), loading it on
 // first use: from the artifact store when possible (deserialize, zero
 // keygen), else by compiling once — and filling the store so the next
-// daemon start is warm. shards 0 and 1 both mean unsharded; shards > 1
-// loads a sharded system under its own cache key ("model@shards"), so the
-// same model served plain and sharded coexist warm. A negative shard
-// count, or one above the model's node count, is rejected before any cache
-// slot is created.
+// daemon start is warm. Shards 0 and 1 both mean the one-chunk system,
+// cached under the model name; more shards cache under "model@shards", so
+// the same model served at several shard counts coexists warm. A negative
+// shard count, or one above the model's node count, is rejected before
+// any cache slot is created.
 func (s *server) system(name string, shards int) (*modelEntry, error) {
 	spec, err := zkml.Model(name)
 	if err != nil {
@@ -181,11 +168,12 @@ func (s *server) system(name string, shards int) (*modelEntry, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("shard count %d is negative", shards)
 	}
+	shards = max(shards, 1)
 	key := name
 	if shards > 1 {
 		key = fmt.Sprintf("%s@%d", name, shards)
 	}
-	if shards > 1 && !s.cached(key) {
+	if !s.cached(key) {
 		if nodes := len(spec.Build().Nodes); shards > nodes {
 			return nil, fmt.Errorf("cannot split %d nodes into %d shards", nodes, shards)
 		}
@@ -194,18 +182,11 @@ func (s *server) system(name string, shards int) (*modelEntry, error) {
 	e.once.Do(func() {
 		start := time.Now()
 		before := pcs.SetupWorkSnapshot()
-		g, sample := spec.Build(), spec.Input(1)
-		if shards > 1 {
-			s.loadSharded(e, g, sample, shards)
-		} else {
-			s.loadSingle(e, g, sample)
-		}
+		e.sys, e.source, e.err = s.load(spec.Build(), spec.Input(1), shards)
 		e.loadDur = time.Since(start)
 		e.setup = pcs.SetupWorkSnapshot().Sub(before)
 		if e.sys != nil {
 			e.hash = fmt.Sprintf("%x", e.sys.ModelCommitment())
-		} else if e.ssys != nil {
-			e.hash = fmt.Sprintf("%x", e.ssys.ModelCommitment())
 		}
 	})
 	if e.err != nil {
@@ -214,52 +195,28 @@ func (s *server) system(name string, shards int) (*modelEntry, error) {
 	return e, nil
 }
 
-// loadSingle fills an entry with a single-circuit system.
-func (s *server) loadSingle(e *modelEntry, g *zkml.Graph, sample *zkml.Input) {
+// load returns the system from the store when it holds one, else compiles
+// it and fills the store; source says which.
+func (s *server) load(g *zkml.Graph, sample *zkml.Input, shards int) (*zkml.ShardedSystem, string, error) {
 	if s.cfg.KeysDir != "" {
-		if sys, err := zkml.LoadSystem(s.cfg.KeysDir, g, sample, s.cfg.Options); err == nil {
-			e.sys, e.source = sys, "store"
-		} else if !errors.Is(err, os.ErrNotExist) {
-			e.err = err
+		sys, err := zkml.LoadShardedSystem(s.cfg.KeysDir, g, sample, shards, s.cfg.Options)
+		if err == nil {
+			return sys, "store", nil
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return nil, "", err
 		}
 	}
-	if e.sys == nil && e.err == nil {
-		sys, err := zkml.Compile(g, sample, s.cfg.Options)
-		if err != nil {
-			e.err = err
-		} else {
-			e.sys, e.source = sys, "compiled"
-			if s.cfg.KeysDir != "" {
-				if _, err := sys.Save(s.cfg.KeysDir); err != nil {
-					e.err = err
-				}
-			}
-		}
+	sys, err := zkml.CompileSharded(g, sample, shards, s.cfg.Options)
+	if err != nil {
+		return nil, "", err
 	}
-}
-
-// loadSharded fills an entry with a sharded system.
-func (s *server) loadSharded(e *modelEntry, g *zkml.Graph, sample *zkml.Input, shards int) {
 	if s.cfg.KeysDir != "" {
-		if sys, err := zkml.LoadShardedSystem(s.cfg.KeysDir, g, sample, shards, s.cfg.Options); err == nil {
-			e.ssys, e.source = sys, "store"
-		} else if !errors.Is(err, os.ErrNotExist) {
-			e.err = err
+		if _, err := sys.Save(s.cfg.KeysDir); err != nil {
+			return nil, "", err
 		}
 	}
-	if e.ssys == nil && e.err == nil {
-		sys, err := zkml.CompileSharded(g, sample, shards, s.cfg.Options)
-		if err != nil {
-			e.err = err
-		} else {
-			e.ssys, e.source = sys, "compiled"
-			if s.cfg.KeysDir != "" {
-				if _, err := sys.Save(s.cfg.KeysDir); err != nil {
-					e.err = err
-				}
-			}
-		}
-	}
+	return sys, "compiled", nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -303,35 +260,19 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 		entries[name] = e
 	}
 	s.mu.Unlock()
+	keys := make([]string, 0, len(entries))
+	for key, e := range entries {
+		if e.sys != nil {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
 	out := []modelInfo{}
-	for _, name := range zkml.ModelNames() {
-		info := modelInfo{Name: name}
-		if e, ok := entries[name]; ok && e.loaded() {
-			info.Loaded = true
-			info.Source = e.source
-			info.Hash = e.hash
-			info.Desc = e.describe()
-			info.LoadSec = e.loadDur.Seconds()
-		}
-		out = append(out, info)
-	}
-	// Sharded systems are cached under "model@shards" keys; list them after
-	// the bundled models, in sorted order for a stable response.
-	shardKeys := make([]string, 0, len(entries))
-	for key := range entries {
-		if strings.Contains(key, "@") {
-			shardKeys = append(shardKeys, key)
-		}
-	}
-	sort.Strings(shardKeys)
-	for _, key := range shardKeys {
+	for _, key := range keys {
 		e := entries[key]
-		if !e.loaded() {
-			continue
-		}
 		out = append(out, modelInfo{
 			Name: key, Loaded: true, Source: e.source, Hash: e.hash,
-			Desc: e.describe(), LoadSec: e.loadDur.Seconds(),
+			Desc: e.sys.Describe(), LoadSec: e.loadDur.Seconds(),
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"models": out})
@@ -360,9 +301,9 @@ type proveRequest struct {
 	Model string `json:"model"`
 	Seed  int64  `json:"seed"`
 	Trace bool   `json:"trace"`
-	// Shards > 1 proves through a sharded system: the model is split into
-	// that many chunk circuits proved in parallel, with committed boundary
-	// activations linking them. Incompatible with Trace.
+	// Shards is the chunk count (0 or 1: the model as one circuit). More
+	// chunks are proved in parallel, with committed boundary activations
+	// linking them. Trace needs a single chunk.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -459,38 +400,20 @@ func (s *server) prove(req proveRequest) proveResult {
 	}
 	in := spec.Input(req.Seed)
 
+	var proof *zkml.ShardedProof
 	var rep *obs.Report
 	var data []byte
 	var outputs []float64
-	var proveDur time.Duration
-	if req.Shards > 1 {
-		proveStart := time.Now()
-		proof, perr := e.ssys.Prove(in)
-		proveDur = time.Since(proveStart)
-		if perr == nil {
-			data, perr = e.ssys.ExportProof(proof)
-			outputs = e.ssys.Outputs(proof)
-		}
-		err = perr
-	} else if req.Trace {
-		proveStart := time.Now()
-		proof, trep, perr := e.sys.ProveTraced(in)
-		proveDur = time.Since(proveStart)
-		rep = trep
-		if perr == nil {
-			data, perr = e.sys.ExportProof(proof)
-			outputs = e.sys.Outputs(proof)
-		}
-		err = perr
+	proveStart := time.Now()
+	if req.Trace {
+		proof, rep, err = e.sys.ProveTraced(in)
 	} else {
-		proveStart := time.Now()
-		proof, perr := e.sys.Prove(in)
-		proveDur = time.Since(proveStart)
-		if perr == nil {
-			data, perr = e.sys.ExportProof(proof)
-			outputs = e.sys.Outputs(proof)
-		}
-		err = perr
+		proof, err = e.sys.Prove(in)
+	}
+	proveDur := time.Since(proveStart)
+	if err == nil {
+		data, err = e.sys.ExportProof(proof)
+		outputs = e.sys.Outputs(proof)
 	}
 	setup := pcs.SetupWorkSnapshot().Sub(setupBefore)
 	if err != nil {
@@ -520,8 +443,7 @@ func (s *server) prove(req proveRequest) proveResult {
 type verifyRequest struct {
 	Model string `json:"model"`
 	Proof string `json:"proof"` // base64 of ExportProof bytes
-	// Shards > 1 verifies a sharded proof chain against the matching
-	// sharded system.
+	// Shards selects the system the proof was made by, as in /prove.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -557,30 +479,16 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		finish(http.StatusBadRequest, nil, fmt.Sprintf("model %q: %v", req.Model, err))
 		return
 	}
-	var outputs []float64
-	if req.Shards > 1 {
-		proof, err := e.ssys.ImportProof(data)
-		if err != nil {
-			finish(http.StatusBadRequest, nil, fmt.Sprintf("malformed proof: %v", err))
-			return
-		}
-		if err := e.ssys.Verify(proof); err != nil {
-			finish(http.StatusOK, map[string]any{"valid": false, "reason": err.Error()}, "")
-			return
-		}
-		outputs = e.ssys.Outputs(proof)
-	} else {
-		proof, err := e.sys.ImportProof(data)
-		if err != nil {
-			finish(http.StatusBadRequest, nil, fmt.Sprintf("malformed proof: %v", err))
-			return
-		}
-		if err := e.sys.Verify(proof); err != nil {
-			finish(http.StatusOK, map[string]any{"valid": false, "reason": err.Error()}, "")
-			return
-		}
-		outputs = e.sys.Outputs(proof)
+	proof, err := e.sys.ImportProof(data)
+	if err != nil {
+		finish(http.StatusBadRequest, nil, fmt.Sprintf("malformed proof: %v", err))
+		return
 	}
+	if err := e.sys.Verify(proof); err != nil {
+		finish(http.StatusOK, map[string]any{"valid": false, "reason": err.Error()}, "")
+		return
+	}
+	outputs := e.sys.Outputs(proof)
 	finish(http.StatusOK, map[string]any{
 		"valid": true, "model": req.Model, "model_hash": e.hash,
 		"shards": req.Shards, "outputs": outputs,

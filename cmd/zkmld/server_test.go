@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/plonkish"
 	"repro/zkml"
 )
 
@@ -173,7 +174,7 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	tampered := append([]byte(nil), raw...)
-	tampered[5] ^= 1 // first instance value
+	tampered[10] ^= 1 // first instance value, behind the 5-byte chain and 5-byte column headers
 	resp, body = postJSON(t, ts, "/verify", verifyRequest{Model: "dlrm-micro",
 		Proof: base64.StdEncoding.EncodeToString(tampered)})
 	if resp.StatusCode != http.StatusOK || unmarshalField[bool](t, body, "valid") {
@@ -346,5 +347,83 @@ func TestDaemonConcurrentTracedProves(t *testing.T) {
 		if got := msmCount(bodies[i]); got != want {
 			t.Fatalf("concurrent traced prove %d counted %d MSMs, solo prove %d", i, got, want)
 		}
+	}
+}
+
+// TestDaemonServesLibraryStore pins the store contract the benchmark
+// relies on: a store filled by zkml.Compile(...).Save and
+// zkml.CompileSharded(..., 3, ...).Save is what the daemon loads for
+// "mnist" and "mnist@3" — from the store, with zero set-up work — and a
+// one-chunk /prove proof imports through zkml.LoadVerifier(...).ImportProof
+// and checks with plonkish.Verify against the loaded verifying key.
+func TestDaemonServesLibraryStore(t *testing.T) {
+	keysDir := t.TempDir()
+	cfg := testConfig(keysDir)
+	cfg.Options.ScaleBits, cfg.Options.LookupBits, cfg.Options.MaxCols = 5, 9, 16
+	spec, err := zkml.Model("mnist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, sample := spec.Build(), spec.Input(1)
+	sys, err := zkml.Compile(g, sample, cfg.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Save(keysDir); err != nil {
+		t.Fatal(err)
+	}
+	ssys, err := zkml.CompileSharded(g, sample, 3, cfg.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ssys.Save(keysDir); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newServer(cfg)
+	for _, shards := range []int{1, 3} {
+		e, err := srv.system("mnist", shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.source != "store" {
+			t.Fatalf("mnist at %d shards loaded from %q, want store", shards, e.source)
+		}
+		if !e.setup.IsZero() {
+			t.Fatalf("mnist at %d shards: store load did set-up work: %+v", shards, e.setup)
+		}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	type modelInfo struct {
+		Name   string `json:"name"`
+		Source string `json:"source"`
+	}
+	listed := map[string]string{}
+	for _, m := range unmarshalField[[]modelInfo](t, getJSON(t, ts, "/models"), "models") {
+		listed[m.Name] = m.Source
+	}
+	if len(listed) != 2 || listed["mnist"] != "store" || listed["mnist@3"] != "store" {
+		t.Fatalf("/models lists %v, want mnist and mnist@3 from the store", listed)
+	}
+
+	resp, body := postJSON(t, ts, "/prove", proveRequest{Model: "mnist", Seed: 4})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prove: status %d: %s", resp.StatusCode, body["error"])
+	}
+	raw, err := base64.StdEncoding.DecodeString(unmarshalField[string](t, body, "proof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifier, err := zkml.LoadVerifier(keysDir, g, sample, cfg.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := verifier.ImportProof(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plonkish.Verify(verifier.Keys.VK, proof.Instance, proof.Proof); err != nil {
+		t.Fatalf("daemon proof rejected by the library verifier: %v", err)
 	}
 }

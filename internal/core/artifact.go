@@ -6,10 +6,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
-	"repro/internal/fixedpoint"
+	"repro/internal/costmodel"
 	"repro/internal/gadgets"
 	"repro/internal/model"
 	"repro/internal/pcs"
@@ -19,26 +18,39 @@ import (
 
 // Artifact file format (DESIGN.md §13): a compiled plan plus everything
 // expensive about its keys, persisted so cold start is a deserialize
-// instead of an optimizer sweep + keygen + SRS extension. One file holds
+// instead of an optimizer sweep + keygen + SRS extension. One container
+// serves every chunk count (a plain model is one chunk):
 //
-//	magic "ZKMLART\x01", then
-//	meta:     model hash (32 B) + options fingerprint (32 B)
-//	plan:     backend, gadget config, K/N/UsedRows, estimated cost/size
-//	digest:   the verifying-key digest the reconstructed keys must match
-//	keys:     plonkish.KeyMaterial (fixed/sigma polynomials + commitments)
-//	srs:      the commitment-scheme setup (pcs.ExportSRS)
+//	magic "ZKMLART\x02", then
+//	meta:     full-model hash (32 B) + options fingerprint (32 B)
+//	backend:  1 B
+//	chunks:   chunk count (u32), then per chunk a u32 length and a section:
+//	            chunk-graph hash (32 B)
+//	            gadget config, K/N/UsedRows, estimated cost/size
+//	            the verifying-key digest the reconstructed keys must match
+//	            u32 length + plonkish.KeyMaterial (fixed/sigma polys + commitments)
+//	srs:      u32 length + pcs.ExportSRS at the largest chunk's size
 //
-// The graph and sample input are NOT stored — the loader re-synthesizes the
-// circuit from the model it already has, and the digest check rejects
-// material that does not match it. Artifact bytes are untrusted: every
-// length prefix is capped by the bytes remaining, nested sections go
-// through their own hardened decoders, and all structural failures wrap
-// zkerrors.ErrMalformedArtifact.
+// One SRS section serves every chunk: the KZG powers and IPA basis are
+// prefixes of one another and the comb windows do not depend on size. The
+// graph, sample input and partitioning are NOT stored — the loader
+// re-partitions and re-synthesizes from the model it already has, each
+// chunk-graph hash pins the chunk's position and the shard count (chunk
+// names embed "#index/shards"), and the digest check rejects material that
+// does not match. Artifact bytes are untrusted: every length prefix is
+// capped by the bytes remaining, nested sections go through their own
+// hardened decoders, encodings are canonical, and all structural failures
+// wrap zkerrors.ErrMalformedArtifact.
 
-var artifactMagic = [8]byte{'Z', 'K', 'M', 'L', 'A', 'R', 'T', 1}
+var artifactMagic = [8]byte{'Z', 'K', 'M', 'L', 'A', 'R', 'T', 2}
 
 // maxConfigStr caps decoded gadget-strategy string lengths.
 const maxConfigStr = 64
+
+// maxArtifactChunks caps the decoded chunk count. Partition enforces
+// shards <= node count anyway; this bound just keeps hostile bytes from
+// requesting absurd slice sizes.
+const maxArtifactChunks = 4096
 
 // errArtifact returns a context-wrapped zkerrors.ErrMalformedArtifact.
 func errArtifact(format string, args ...any) error {
@@ -66,309 +78,389 @@ type ArtifactMeta struct {
 // ArtifactFile is a decoded artifact, ready to be instantiated against a
 // model graph.
 type ArtifactFile struct {
-	Meta     ArtifactMeta
-	Backend  pcs.Backend
-	Config   gadgets.Config
-	K        int
-	N        int
-	UsedRows int
-	Cost     float64
-	Size     int
-	VKDigest [32]byte
-	Material *plonkish.KeyMaterial
-	SRS      []byte
+	Meta    ArtifactMeta
+	Backend pcs.Backend
+	Chunks  []*ChunkArtifact
+	SRS     []byte
+}
+
+// ChunkArtifact is one chunk's stored plan and key material.
+type ChunkArtifact struct {
+	GraphHash [32]byte
+	Config    gadgets.Config
+	K         int
+	N         int
+	UsedRows  int
+	Cost      float64
+	Size      int
+	VKDigest  [32]byte
+	Material  *plonkish.KeyMaterial
 }
 
 // EncodeArtifact serializes a compiled plan and its keys.
-func EncodeArtifact(meta ArtifactMeta, p *Plan, keys *Keys) ([]byte, error) {
-	if keys == nil || keys.PK == nil || keys.VK == nil {
-		return nil, fmt.Errorf("core: encoding an artifact requires full keys")
+func EncodeArtifact(meta ArtifactMeta, sp *ShardedPlan, keys *ShardedKeys) ([]byte, error) {
+	if sp == nil || len(sp.Chunks) == 0 {
+		return nil, fmt.Errorf("core: encoding an artifact requires a compiled plan")
 	}
-	material, err := keys.PK.Material().MarshalBinary()
+	if keys == nil || len(keys.Chunks) != len(sp.Chunks) {
+		return nil, fmt.Errorf("core: keys carry %d chunks, plan has %d", keyCount(keys), len(sp.Chunks))
+	}
+	af := &ArtifactFile{Meta: meta, Backend: sp.Backend}
+	maxN := 0
+	for c, p := range sp.Chunks {
+		k := keys.Chunks[c]
+		if k == nil || k.PK == nil || k.VK == nil {
+			return nil, fmt.Errorf("core: encoding an artifact requires full keys")
+		}
+		h, err := ModelHash(p.Graph)
+		if err != nil {
+			return nil, err
+		}
+		digest := k.VK.Digest()
+		if len(digest) != 32 {
+			return nil, fmt.Errorf("core: unexpected VK digest length %d", len(digest))
+		}
+		ca := &ChunkArtifact{GraphHash: h, Config: p.Config, K: p.K, N: p.N,
+			UsedRows: p.UsedRows, Cost: p.Cost, Size: p.Size, Material: k.PK.Material()}
+		copy(ca.VKDigest[:], digest)
+		af.Chunks = append(af.Chunks, ca)
+		maxN = max(maxN, p.N)
+	}
+	srs, err := pcs.ExportSRS(sp.Backend, maxN)
 	if err != nil {
 		return nil, err
 	}
-	srs, err := pcs.ExportSRS(p.Backend, p.N)
+	af.SRS = srs
+	return af.MarshalBinary()
+}
+
+// MarshalBinary serializes the artifact; DecodeArtifact is its inverse.
+func (af *ArtifactFile) MarshalBinary() ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write(artifactMagic[:])
+	buf.Write(af.Meta.ModelHash[:])
+	buf.Write(af.Meta.Options[:])
+	buf.WriteByte(byte(af.Backend))
+	writeU32(&buf, len(af.Chunks))
+	for c, ca := range af.Chunks {
+		section, err := ca.marshal()
+		if err != nil {
+			return nil, fmt.Errorf("core: chunk %d: %w", c, err)
+		}
+		writeU32(&buf, len(section))
+		buf.Write(section)
+	}
+	writeU32(&buf, len(af.SRS))
+	buf.Write(af.SRS)
+	return buf.Bytes(), nil
+}
+
+func writeU32(buf *bytes.Buffer, v int) {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], uint32(v))
+	buf.Write(b[:])
+}
+
+// marshal serializes one chunk section.
+func (ca *ChunkArtifact) marshal() ([]byte, error) {
+	material, err := ca.Material.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	buf.Write(artifactMagic[:])
-	buf.Write(meta.ModelHash[:])
-	buf.Write(meta.Options[:])
-	buf.WriteByte(byte(p.Backend))
-	writeStr := func(s string) {
+	buf.Write(ca.GraphHash[:])
+	cfg := ca.Config
+	for _, s := range []string{string(cfg.Dot), string(cfg.Arith), string(cfg.ReLU), string(cfg.Rows)} {
+		if len(s) > maxConfigStr {
+			return nil, fmt.Errorf("core: config string %q too long", s)
+		}
 		buf.WriteByte(byte(len(s)))
 		buf.WriteString(s)
 	}
-	writeBool := func(b bool) {
+	for _, v := range []int{cfg.NumCols, cfg.FP.ScaleBits, cfg.FP.LookupBits} {
+		writeU32(&buf, v)
+	}
+	for _, b := range []bool{cfg.UseConstDot, cfg.MultiAdd, cfg.MultiMax, cfg.MultiDot} {
 		if b {
 			buf.WriteByte(1)
 		} else {
 			buf.WriteByte(0)
 		}
 	}
-	writeU32 := func(v int) {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(v))
-		buf.Write(b[:])
+	for _, v := range []int{ca.K, ca.N, ca.UsedRows} {
+		writeU32(&buf, v)
 	}
-	cfg := p.Config
-	for _, s := range []string{string(cfg.Dot), string(cfg.Arith), string(cfg.ReLU), string(cfg.Rows)} {
-		if len(s) > maxConfigStr {
-			return nil, fmt.Errorf("core: config string %q too long", s)
-		}
-		writeStr(s)
-	}
-	writeU32(cfg.NumCols)
-	writeU32(cfg.FP.ScaleBits)
-	writeU32(cfg.FP.LookupBits)
-	writeBool(cfg.UseConstDot)
-	writeBool(cfg.MultiAdd)
-	writeBool(cfg.MultiMax)
-	writeBool(cfg.MultiDot)
-	writeU32(p.K)
-	writeU32(p.N)
-	writeU32(p.UsedRows)
 	var costBits [8]byte
-	binary.BigEndian.PutUint64(costBits[:], math.Float64bits(p.Cost))
+	binary.BigEndian.PutUint64(costBits[:], math.Float64bits(ca.Cost))
 	buf.Write(costBits[:])
-	writeU32(p.Size)
-	digest := keys.VK.Digest()
-	if len(digest) != 32 {
-		return nil, fmt.Errorf("core: unexpected VK digest length %d", len(digest))
-	}
-	buf.Write(digest)
-	writeU32(len(material))
+	writeU32(&buf, ca.Size)
+	buf.Write(ca.VKDigest[:])
+	writeU32(&buf, len(material))
 	buf.Write(material)
-	writeU32(len(srs))
-	buf.Write(srs)
 	return buf.Bytes(), nil
+}
+
+// artifactReader decodes untrusted artifact bytes in place, without
+// copying them; every failure wraps zkerrors.ErrMalformedArtifact.
+type artifactReader struct{ b []byte }
+
+// next returns the next n bytes, refusing counts beyond the bytes remaining.
+func (r *artifactReader) next(n int, what string) ([]byte, error) {
+	if n > len(r.b) {
+		return nil, errArtifact("%s claims %d bytes with %d left", what, n, len(r.b))
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out, nil
+}
+
+func (r *artifactReader) fixed(dst []byte, what string) error {
+	b, err := r.next(len(dst), what)
+	copy(dst, b)
+	return err
+}
+
+func (r *artifactReader) u32(what string) (int, error) {
+	b, err := r.next(4, what)
+	if err != nil {
+		return 0, err
+	}
+	return int(binary.BigEndian.Uint32(b)), nil
+}
+
+// section reads a u32 length prefix and that many bytes.
+func (r *artifactReader) section(what string) ([]byte, error) {
+	l, err := r.u32(what + " length")
+	if err != nil {
+		return nil, err
+	}
+	return r.next(l, what)
+}
+
+func (r *artifactReader) str() (string, error) {
+	l, err := r.next(1, "config string length")
+	if err != nil {
+		return "", err
+	}
+	if int(l[0]) > maxConfigStr {
+		return "", errArtifact("config string length %d out of range", l[0])
+	}
+	b, err := r.next(int(l[0]), "config string")
+	return string(b), err
+}
+
+func (r *artifactReader) boolean() (bool, error) {
+	b, err := r.next(1, "boolean")
+	if err != nil || b[0] > 1 {
+		return false, errArtifact("bad boolean encoding")
+	}
+	return b[0] == 1, nil
 }
 
 // DecodeArtifact parses artifact bytes. The input is untrusted; failures
 // wrap zkerrors.ErrMalformedArtifact and arbitrary bytes never panic or
 // over-allocate. The nested key material is fully decoded (and its points
-// and scalars validated); the SRS section is kept as raw bytes for
-// pcs.ImportSRS at instantiation time.
+// and scalars validated); the SRS section is kept as raw bytes, a slice of
+// data, for pcs.ImportSRS at instantiation time.
 func DecodeArtifact(data []byte) (*ArtifactFile, error) {
-	r := bytes.NewReader(data)
+	r := &artifactReader{data}
 	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || magic != artifactMagic {
+	if err := r.fixed(magic[:], "magic"); err != nil || magic != artifactMagic {
 		return nil, errArtifact("bad artifact magic")
 	}
 	af := &ArtifactFile{}
-	if _, err := io.ReadFull(r, af.Meta.ModelHash[:]); err != nil {
-		return nil, errArtifact("truncated model hash")
+	if err := r.fixed(af.Meta.ModelHash[:], "model hash"); err != nil {
+		return nil, err
 	}
-	if _, err := io.ReadFull(r, af.Meta.Options[:]); err != nil {
-		return nil, errArtifact("truncated options fingerprint")
+	if err := r.fixed(af.Meta.Options[:], "options fingerprint"); err != nil {
+		return nil, err
 	}
-	bb, err := r.ReadByte()
+	bb, err := r.next(1, "backend")
 	if err != nil {
-		return nil, errArtifact("truncated backend")
+		return nil, err
 	}
-	af.Backend = pcs.Backend(bb)
+	af.Backend = pcs.Backend(bb[0])
 	if af.Backend != pcs.KZG && af.Backend != pcs.IPA {
-		return nil, errArtifact("unknown backend %d", bb)
+		return nil, errArtifact("unknown backend %d", bb[0])
 	}
-	readStr := func() (string, error) {
-		l, err := r.ReadByte()
+	n, err := r.u32("chunk count")
+	if err != nil {
+		return nil, err
+	}
+	if n < 1 || n > maxArtifactChunks {
+		return nil, errArtifact("chunk count %d out of range", n)
+	}
+	for c := 0; c < n; c++ {
+		section, err := r.section(fmt.Sprintf("chunk %d", c))
 		if err != nil {
-			return "", errArtifact("truncated config string")
+			return nil, err
 		}
-		if int(l) > maxConfigStr || int(l) > r.Len() {
-			return "", errArtifact("config string length %d out of range", l)
+		ca, err := decodeChunk(section)
+		if err != nil {
+			return nil, fmt.Errorf("core: chunk %d: %w", c, err)
 		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", errArtifact("truncated config string")
-		}
-		return string(b), nil
+		af.Chunks = append(af.Chunks, ca)
 	}
-	readBool := func() (bool, error) {
-		b, err := r.ReadByte()
-		if err != nil || b > 1 {
-			return false, errArtifact("bad boolean encoding")
-		}
-		return b == 1, nil
+	if af.SRS, err = r.section("srs"); err != nil {
+		return nil, err
 	}
-	readU32 := func() (int, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, errArtifact("truncated integer")
-		}
-		return int(binary.BigEndian.Uint32(b[:])), nil
+	if len(r.b) != 0 {
+		return nil, errArtifact("%d trailing artifact bytes", len(r.b))
+	}
+	return af, nil
+}
+
+// decodeChunk parses one chunk section, which must be consumed exactly.
+func decodeChunk(data []byte) (*ChunkArtifact, error) {
+	r := &artifactReader{data}
+	ca := &ChunkArtifact{}
+	if err := r.fixed(ca.GraphHash[:], "chunk-graph hash"); err != nil {
+		return nil, err
 	}
 	var cfg gadgets.Config
-	var dot, arith, relu, rows string
-	for _, dst := range []*string{&dot, &arith, &relu, &rows} {
-		if *dst, err = readStr(); err != nil {
+	var strs [4]string
+	for i := range strs {
+		s, err := r.str()
+		if err != nil {
+			return nil, err
+		}
+		strs[i] = s
+	}
+	cfg.Dot = gadgets.DotStrategy(strs[0])
+	cfg.Arith = gadgets.ArithStrategy(strs[1])
+	cfg.ReLU = gadgets.ReLUStrategy(strs[2])
+	cfg.Rows = gadgets.RowMode(strs[3])
+	var err error
+	for _, dst := range []*int{&cfg.NumCols, &cfg.FP.ScaleBits, &cfg.FP.LookupBits} {
+		if *dst, err = r.u32("config"); err != nil {
 			return nil, err
 		}
 	}
-	cfg.Dot = gadgets.DotStrategy(dot)
-	cfg.Arith = gadgets.ArithStrategy(arith)
-	cfg.ReLU = gadgets.ReLUStrategy(relu)
-	cfg.Rows = gadgets.RowMode(rows)
-	if cfg.NumCols, err = readU32(); err != nil {
-		return nil, err
-	}
-	var fp fixedpoint.Params
-	if fp.ScaleBits, err = readU32(); err != nil {
-		return nil, err
-	}
-	if fp.LookupBits, err = readU32(); err != nil {
-		return nil, err
-	}
-	cfg.FP = fp
 	for _, dst := range []*bool{&cfg.UseConstDot, &cfg.MultiAdd, &cfg.MultiMax, &cfg.MultiDot} {
-		if *dst, err = readBool(); err != nil {
+		if *dst, err = r.boolean(); err != nil {
 			return nil, err
 		}
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, errArtifact("stored config invalid: %v", err)
 	}
-	af.Config = cfg
-	if af.K, err = readU32(); err != nil {
-		return nil, err
-	}
-	if af.N, err = readU32(); err != nil {
-		return nil, err
-	}
-	if af.UsedRows, err = readU32(); err != nil {
-		return nil, err
-	}
-	if af.K < 1 || af.K > 40 || af.N != 1<<uint(af.K) {
-		return nil, errArtifact("inconsistent grid size K=%d N=%d", af.K, af.N)
-	}
-	var costBits [8]byte
-	if _, err := io.ReadFull(r, costBits[:]); err != nil {
-		return nil, errArtifact("truncated cost")
-	}
-	af.Cost = math.Float64frombits(binary.BigEndian.Uint64(costBits[:]))
-	if math.IsNaN(af.Cost) || math.IsInf(af.Cost, 0) || af.Cost < 0 {
-		return nil, errArtifact("invalid stored cost")
-	}
-	if af.Size, err = readU32(); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(r, af.VKDigest[:]); err != nil {
-		return nil, errArtifact("truncated VK digest")
-	}
-	readSection := func(name string) ([]byte, error) {
-		l, err := readU32()
-		if err != nil {
+	ca.Config = cfg
+	for _, dst := range []*int{&ca.K, &ca.N, &ca.UsedRows} {
+		if *dst, err = r.u32("grid size"); err != nil {
 			return nil, err
 		}
-		if l > r.Len() {
-			return nil, errArtifact("%s section claims %d bytes with %d left", name, l, r.Len())
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, errArtifact("truncated %s section", name)
-		}
-		return b, nil
 	}
-	materialBytes, err := readSection("key-material")
+	if ca.K < 1 || ca.K > 40 || ca.N != 1<<uint(ca.K) {
+		return nil, errArtifact("inconsistent grid size K=%d N=%d", ca.K, ca.N)
+	}
+	var costBits [8]byte
+	if err := r.fixed(costBits[:], "cost"); err != nil {
+		return nil, err
+	}
+	ca.Cost = math.Float64frombits(binary.BigEndian.Uint64(costBits[:]))
+	if math.IsNaN(ca.Cost) || math.IsInf(ca.Cost, 0) || ca.Cost < 0 {
+		return nil, errArtifact("invalid stored cost")
+	}
+	if ca.Size, err = r.u32("size"); err != nil {
+		return nil, err
+	}
+	if err := r.fixed(ca.VKDigest[:], "VK digest"); err != nil {
+		return nil, err
+	}
+	materialBytes, err := r.section("key-material")
 	if err != nil {
 		return nil, err
 	}
-	af.Material = &plonkish.KeyMaterial{}
-	if err := af.Material.UnmarshalBinary(materialBytes); err != nil {
+	ca.Material = &plonkish.KeyMaterial{}
+	if err := ca.Material.UnmarshalBinary(materialBytes); err != nil {
 		return nil, err
 	}
-	if af.SRS, err = readSection("srs"); err != nil {
-		return nil, err
+	if len(r.b) != 0 {
+		return nil, errArtifact("%d trailing chunk bytes", len(r.b))
 	}
-	if r.Len() != 0 {
-		return nil, errArtifact("%d trailing artifact bytes", r.Len())
-	}
-	return af, nil
+	return ca, nil
 }
 
-// rebuild re-synthesizes the circuit the artifact was compiled for and
-// imports its SRS, returning the finalized build artifact.
-func (af *ArtifactFile) rebuild(g *model.Graph, sample *model.Input) (*gadgets.Artifact, error) {
-	b, _, err := g.BuildCircuit(af.Config, sample)
+// Instantiate rebuilds a full proving system from the artifact: the model
+// is re-partitioned, each chunk's circuit and fixed values are
+// re-synthesized (cheap), the SRS is imported once, and the keys are
+// assembled from the stored material — no optimizer sweep, no keygen IFFTs
+// or MSMs, no SRS extension.
+func (af *ArtifactFile) Instantiate(g *model.Graph, sample *model.Input) (*ShardedPlan, *ShardedKeys, error) {
+	return af.instantiate(g, sample, false)
+}
+
+// InstantiateVerifier rebuilds a verification-only system: same
+// re-synthesis, but the keys carry only the verifying side (Keys.PK is nil)
+// and the path performs no interpolation or MSM work at all.
+func (af *ArtifactFile) InstantiateVerifier(g *model.Graph, sample *model.Input) (*ShardedPlan, *ShardedKeys, error) {
+	return af.instantiate(g, sample, true)
+}
+
+// instantiate rebuilds the plan and keys. Chunks are instantiated in chain
+// order because each chunk's sample input needs the previous chunks'
+// boundary activations, which the re-synthesis itself yields.
+func (af *ArtifactFile) instantiate(g *model.Graph, sample *model.Input, verifyOnly bool) (*ShardedPlan, *ShardedKeys, error) {
+	part, err := model.Partition(g, sample, len(af.Chunks))
 	if err != nil {
-		return nil, errArtifact("artifact config does not build against model %s: %v", g.Name, err)
-	}
-	art, err := b.Finalize(af.N)
-	if err != nil {
-		return nil, errArtifact("artifact grid 2^%d does not fit model %s: %v", af.K, g.Name, err)
+		return nil, nil, err
 	}
 	backend, _, err := pcs.ImportSRS(af.SRS)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if backend != af.Backend {
-		return nil, errArtifact("SRS backend %v does not match artifact backend %v", backend, af.Backend)
+		return nil, nil, errArtifact("SRS backend %v does not match artifact backend %v", backend, af.Backend)
 	}
-	return art, nil
-}
-
-// plan reconstructs the optimizer plan the artifact stores.
-func (af *ArtifactFile) plan(g *model.Graph, sample *model.Input, cs *plonkish.CS) *Plan {
-	return &Plan{
-		Graph:  g,
-		Sample: sample,
-		Candidate: Candidate{
-			Config:   af.Config,
-			N:        af.N,
-			K:        af.K,
-			UsedRows: af.UsedRows,
-			Layout:   LayoutOf(cs, af.K, af.Backend),
-			Cost:     af.Cost,
-			Size:     af.Size,
-		},
-		Backend: af.Backend,
+	sp := &ShardedPlan{Graph: g, Sample: sample, Part: part, Backend: af.Backend}
+	keys := &ShardedKeys{Chunks: make([]*Keys, len(af.Chunks))}
+	boundary := map[string][]int64{}
+	layouts := make([]costmodel.Layout, len(af.Chunks))
+	for c, ca := range af.Chunks {
+		cg := part.Chunks[c].Graph
+		h, err := ModelHash(cg)
+		if err != nil {
+			return nil, nil, err
+		}
+		if ca.GraphHash != h {
+			return nil, nil, errArtifact("chunk %d was built for a different chunk graph", c)
+		}
+		cin, err := part.ChunkInput(c, sample, boundary)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, outs, err := cg.BuildCircuit(ca.Config, cin)
+		if err != nil {
+			return nil, nil, errArtifact("chunk %d config does not build against %s: %v", c, cg.Name, err)
+		}
+		art, err := b.Finalize(ca.N)
+		if err != nil {
+			return nil, nil, errArtifact("chunk %d grid 2^%d does not fit %s: %v", c, ca.K, cg.Name, err)
+		}
+		k := &Keys{}
+		if verifyOnly {
+			k.VK, err = plonkish.SetupVK(art.CS, ca.N, af.Backend, ca.Material)
+		} else {
+			k.PK, k.VK, err = plonkish.SetupFromMaterial(art.CS, ca.N, art.Fixed, af.Backend, ca.Material)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: chunk %d: %w", c, err)
+		}
+		if !bytes.Equal(k.VK.Digest(), ca.VKDigest[:]) {
+			return nil, nil, errArtifact("chunk %d verifying-key digest mismatch: artifact does not match this model", c)
+		}
+		layouts[c] = LayoutOf(art.CS, ca.K, af.Backend)
+		sp.Chunks = append(sp.Chunks, &Plan{
+			Graph:  cg,
+			Sample: cin,
+			Candidate: Candidate{Config: ca.Config, N: ca.N, K: ca.K, UsedRows: ca.UsedRows,
+				Layout: layouts[c], Cost: ca.Cost, Size: ca.Size},
+			Backend: af.Backend,
+		})
+		keys.Chunks[c] = k
+		sp.Cost += ca.Cost
+		recordBoundary(cg, outs, boundary)
 	}
-}
-
-// checkDigest verifies the reconstructed verifying key against the digest
-// stored at save time, binding the material to the exact circuit.
-func (af *ArtifactFile) checkDigest(vk *plonkish.VerifyingKey) error {
-	if !bytes.Equal(vk.Digest(), af.VKDigest[:]) {
-		return errArtifact("verifying-key digest mismatch: artifact does not match this model")
-	}
-	return nil
-}
-
-// Instantiate rebuilds a full proving system from the artifact: the circuit
-// and fixed values are re-synthesized from the model (cheap), the SRS is
-// imported, and the keys are assembled from the stored material — no
-// optimizer sweep, no keygen IFFTs or MSMs, no SRS extension.
-func (af *ArtifactFile) Instantiate(g *model.Graph, sample *model.Input) (*Plan, *Keys, error) {
-	art, err := af.rebuild(g, sample)
-	if err != nil {
-		return nil, nil, err
-	}
-	pk, vk, err := plonkish.SetupFromMaterial(art.CS, af.N, art.Fixed, af.Backend, af.Material)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := af.checkDigest(vk); err != nil {
-		return nil, nil, err
-	}
-	return af.plan(g, sample, art.CS), &Keys{PK: pk, VK: vk}, nil
-}
-
-// InstantiateVerifier rebuilds a verification-only system: same circuit
-// re-synthesis, but the keys carry only the verifying side (Keys.PK is nil)
-// and the path performs no interpolation or MSM work at all.
-func (af *ArtifactFile) InstantiateVerifier(g *model.Graph, sample *model.Input) (*Plan, *Keys, error) {
-	art, err := af.rebuild(g, sample)
-	if err != nil {
-		return nil, nil, err
-	}
-	vk, err := plonkish.SetupVK(art.CS, af.N, af.Backend, af.Material)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := af.checkDigest(vk); err != nil {
-		return nil, nil, err
-	}
-	return af.plan(g, sample, art.CS), &Keys{VK: vk}, nil
+	sp.Size = costmodel.EstimateShardedSize(layouts, part.BoundaryElems)
+	return sp, keys, nil
 }

@@ -3,8 +3,10 @@
 // circuit layouts (gadget implementation choices, §7.2), instantiates
 // physical layouts at each column count with a row-exact circuit simulation
 // (§7.3), estimates the proving cost of each with the calibrated cost model
-// (§7.4), and selects the cheapest plan (Algorithm 1). A selected Plan then
-// drives key generation, witness synthesis, proving, and verification.
+// (§7.4), and selects the cheapest plan (Algorithm 1). A Plan is one
+// circuit's layout; a ShardedPlan chains one Plan per chunk of the model
+// (a plain model is the one-chunk partition) and drives key generation,
+// witness synthesis, proving, and verification.
 package core
 
 import (
@@ -320,49 +322,11 @@ func (p *Plan) Setup() (*Keys, error) {
 	return &Keys{PK: pk, VK: vk}, nil
 }
 
-// Proof bundles a plonkish proof with its public values (the model
-// outputs exposed through the instance column).
+// Proof bundles one circuit's plonkish proof with its public values (the
+// instance column). ShardedProof chains one per chunk.
 type Proof struct {
 	Proof    *plonkish.Proof
 	Instance [][]ff.Element
-}
-
-// Prove synthesizes the witness for an input and produces a proof plus the
-// public values.
-func (p *Plan) Prove(keys *Keys, in *model.Input) (*Proof, error) {
-	if keys == nil || keys.PK == nil {
-		return nil, fmt.Errorf("core: keys carry no proving key (verify-only system)")
-	}
-	art, err := p.Synthesize(in)
-	if err != nil {
-		return nil, err
-	}
-	proof, err := plonkish.Prove(keys.PK, art.Instance, art.Witness)
-	if err != nil {
-		return nil, err
-	}
-	return &Proof{Proof: proof, Instance: art.Instance}, nil
-}
-
-// ProveTraced is Prove with stage-level observability: it returns the
-// proof together with an obs.Report of per-stage wall times and kernel
-// counters. The proof bytes are identical to an untraced Prove. The report
-// covers only the plonkish proving pipeline; witness synthesis happens
-// before tracing starts.
-func (p *Plan) ProveTraced(keys *Keys, in *model.Input) (*Proof, *obs.Report, error) {
-	if keys == nil || keys.PK == nil {
-		return nil, nil, fmt.Errorf("core: keys carry no proving key (verify-only system)")
-	}
-	art, err := p.Synthesize(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	trace := obs.NewTrace()
-	proof, err := plonkish.ProveTraced(keys.PK, art.Instance, art.Witness, trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Proof{Proof: proof, Instance: art.Instance}, trace.Report(), nil
 }
 
 // CompareEstimate lines a traced run's measured stage times up against the
@@ -373,9 +337,4 @@ func (p *Plan) CompareEstimate(r *obs.Report) []obs.StageComparison {
 		return nil
 	}
 	return r.CompareEstimate(p.Calibration.PredictStages(p.Layout))
-}
-
-// Verify checks a proof against the verification key and public values.
-func (p *Plan) Verify(keys *Keys, proof *Proof) error {
-	return plonkish.Verify(keys.VK, proof.Instance, proof.Proof)
 }

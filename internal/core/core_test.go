@@ -7,6 +7,7 @@ import (
 	"repro/internal/fixedpoint"
 	"repro/internal/gadgets"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pcs"
 )
 
@@ -71,6 +72,9 @@ func TestOptimizePruningReducesWork(t *testing.T) {
 	}
 }
 
+// TestPlanProveVerifyBothBackends proves a plain model through the chunked
+// pipeline: its one-chunk plan is the model graph under exactly the layout
+// Optimize picks, and it proves, verifies and traces like any other plan.
 func TestPlanProveVerifyBothBackends(t *testing.T) {
 	spec, _ := model.Get("dlrm-micro")
 	g := spec.Build()
@@ -79,20 +83,34 @@ func TestPlanProveVerifyBothBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys, err := plan.Setup()
+		sp, err := OptimizeSharded(g, spec.Input(1), 1, testOpts(backend))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Prove a *different* input than the sample used at setup.
-		proof, err := plan.Prove(keys, spec.Input(42))
+		if len(sp.Chunks) != 1 || sp.Chunks[0].Graph != g {
+			t.Fatalf("%v: one-chunk plan is not the model graph", backend)
+		}
+		if one := sp.Chunks[0]; one.Config != plan.Config || one.K != plan.K || one.Cost != plan.Cost || sp.Cost != plan.Cost {
+			t.Fatalf("%v: one-chunk plan differs from Optimize's plan", backend)
+		}
+		keys, err := sp.Setup()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := plan.Verify(keys, proof); err != nil {
+		// Prove a *different* input than the sample used at setup, traced.
+		trace := obs.NewTrace()
+		proof, err := sp.Prove(keys, spec.Input(42), trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Verify(keys, proof); err != nil {
 			t.Fatalf("%v: %v", backend, err)
 		}
-		if proof.Proof.Size() <= 0 {
+		if proof.Chunks[0].Proof.Size() <= 0 {
 			t.Fatal("empty proof")
+		}
+		if rep := trace.Report(); rep.MSMCount == 0 || sp.Chunks[0].CompareEstimate(rep) == nil {
+			t.Fatalf("%v: one-chunk trace recorded nothing", backend)
 		}
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/fixedpoint"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/plonkish"
 )
 
 // FitConfig configures the calibration fitting sweep: which bundled model
@@ -82,7 +84,7 @@ func FitCalibration(c *costmodel.Calibration, cfg FitConfig) (int, error) {
 			if err != nil {
 				return len(samples), fmt.Errorf("core: fit sweep %s cols=%d keygen: %w", backend, cols, err)
 			}
-			_, rep, err := plan.ProveTraced(keys, in)
+			rep, err := traceProve(plan, keys, in)
 			if err != nil {
 				return len(samples), fmt.Errorf("core: fit sweep %s cols=%d prove: %w", backend, cols, err)
 			}
@@ -96,4 +98,18 @@ func FitCalibration(c *costmodel.Calibration, cfg FitConfig) (int, error) {
 		return len(samples), err
 	}
 	return len(samples), nil
+}
+
+// traceProve synthesizes the plan's circuit for an input and proves it with
+// stage tracing, returning the report a fit sample measures.
+func traceProve(plan *Plan, keys *Keys, in *model.Input) (*obs.Report, error) {
+	art, err := plan.Synthesize(in)
+	if err != nil {
+		return nil, err
+	}
+	trace := obs.NewTrace()
+	if _, err := plonkish.ProveTraced(keys.PK, art.Instance, art.Witness, trace); err != nil {
+		return nil, err
+	}
+	return trace.Report(), nil
 }

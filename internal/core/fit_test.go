@@ -92,7 +92,7 @@ func TestFittedModelRanksRealLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := plan.ProveTraced(keys, in)
+		rep, err := traceProve(plan, keys, in)
 		if err != nil {
 			t.Fatal(err)
 		}

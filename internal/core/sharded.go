@@ -11,21 +11,23 @@ import (
 	"repro/internal/gadgets"
 	"repro/internal/layers"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/pcs"
 	"repro/internal/plonkish"
 	"repro/internal/zkerrors"
 )
 
-// Sharded proving (ROADMAP item 2, DESIGN.md §16): the model graph is
-// partitioned at layer boundaries into chunks (model.Partition), each chunk
-// is compiled through the existing optimizer as its own smaller-2^k
-// circuit, and the chunk-boundary activations are exposed as committed
-// public values on both sides of every cut. Chunks prove in parallel;
-// the verifier checks every per-chunk proof plus boundary instance-segment
-// equality along every wire, which binds the chain end to end.
+// Chunked proving (DESIGN.md §16): the model graph is partitioned at layer
+// boundaries into chunks (model.Partition), each chunk is compiled through
+// the optimizer as its own circuit, and the chunk-boundary activations are
+// exposed as committed public values on both sides of every cut. Chunks
+// prove in parallel; the verifier checks every per-chunk proof plus
+// boundary instance-segment equality along every wire, which binds the
+// chain end to end. A plain model is the one-chunk partition: its only
+// chunk is the model graph itself, so this is the pipeline for every model.
 
-// ShardedPlan is the optimizer's chosen multi-circuit layout: one Plan per
+// ShardedPlan is the optimizer's chosen layout for a model: one Plan per
 // chunk plus the boundary wiring that links them.
 type ShardedPlan struct {
 	Graph       *model.Graph
@@ -40,6 +42,11 @@ type ShardedPlan struct {
 	// boundary values.
 	Cost float64
 	Size int
+	// Candidates lists, per chunk, every layout the optimizer priced, and
+	// Stats sums the chunks' optimizer work (Table 12). Both are empty on
+	// a plan loaded from an artifact.
+	Candidates [][]Candidate
+	Stats      Stats
 }
 
 // ShardedKeys holds one key pair per chunk.
@@ -66,7 +73,7 @@ func errShardVerify(format string, args ...any) error {
 
 // OptimizeSharded partitions the graph into `shards` chunks and runs
 // Algorithm 1 independently on each chunk, so every chunk gets its own
-// (smaller) optimal grid. Chunk layouts are input-independent, but witness
+// optimal grid. Chunk layouts are input-independent, but witness
 // synthesis is not: each chunk's sample input needs the previous chunks'
 // boundary activations, so chunks are compiled in chain order.
 func OptimizeSharded(g *model.Graph, sample *model.Input, shards int, opt Options) (*ShardedPlan, error) {
@@ -89,16 +96,24 @@ func OptimizeSharded(g *model.Graph, sample *model.Input, shards int, opt Option
 		if err != nil {
 			return nil, err
 		}
-		plan, _, _, err := Optimize(cg, cin, opt)
+		plan, cands, stats, err := Optimize(cg, cin, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: chunk %d: %w", c, err)
 		}
 		sp.Chunks = append(sp.Chunks, plan)
+		sp.Candidates = append(sp.Candidates, cands)
+		sp.Stats.Evaluated += stats.Evaluated
+		sp.Stats.Pruned += stats.Pruned
+		sp.Stats.Duration += stats.Duration
 		layouts = append(layouts, plan.Layout)
 		// One extra synthesis to read the chunk's boundary activations
 		// for the next chunk's sample input (cheap, no keys involved).
-		if err := collectBoundary(cg, plan.Config, cin, boundary); err != nil {
-			return nil, fmt.Errorf("core: chunk %d: %w", c, err)
+		if c < len(part.Chunks)-1 {
+			_, outs, err := cg.BuildCircuit(plan.Config, cin)
+			if err != nil {
+				return nil, fmt.Errorf("core: chunk %d: %w", c, err)
+			}
+			recordBoundary(cg, outs, boundary)
 		}
 	}
 	sp.Cost = opt.Calibration.EstimateShardedTime(layouts, part.BoundaryElems)
@@ -106,17 +121,12 @@ func OptimizeSharded(g *model.Graph, sample *model.Input, shards int, opt Option
 	return sp, nil
 }
 
-// collectBoundary synthesizes a chunk and records its published output
-// values into the boundary map, keyed by tensor name.
-func collectBoundary(cg *model.Graph, cfg gadgets.Config, cin *model.Input, boundary map[string][]int64) error {
-	_, outs, err := cg.BuildCircuit(cfg, cin)
-	if err != nil {
-		return err
-	}
+// recordBoundary stores a synthesized chunk's published output values in
+// the boundary map, keyed by tensor name, for the chunks after it.
+func recordBoundary(cg *model.Graph, outs []*layers.T, boundary map[string][]int64) {
 	for i, name := range cg.Outputs {
 		boundary[name] = layers.Values(outs[i]).Data
 	}
-	return nil
 }
 
 // Setup generates per-chunk proving and verification keys.
@@ -152,9 +162,7 @@ func (sp *ShardedPlan) synthChunks(in *model.Input) ([]*gadgets.Artifact, error)
 			return nil, fmt.Errorf("core: chunk %d: %w", c, err)
 		}
 		arts[c] = art
-		for i, name := range plan.Graph.Outputs {
-			boundary[name] = layers.Values(outs[i]).Data
-		}
+		recordBoundary(plan.Graph, outs, boundary)
 	}
 	return arts, nil
 }
@@ -162,8 +170,10 @@ func (sp *ShardedPlan) synthChunks(in *model.Input) ([]*gadgets.Artifact, error)
 // Prove synthesizes all chunk witnesses (sequential — the chain feeds
 // forward) and then proves the chunks in parallel via the process-wide
 // worker pool. Chunk proofs are byte-identical at any worker count, so the
-// sharded proof is too.
-func (sp *ShardedPlan) Prove(keys *ShardedKeys, in *model.Input) (*ShardedProof, error) {
+// chained proof is too. A non-nil trace records the per-stage report of a
+// one-chunk prove; stage tracing is per circuit, so a trace over more
+// chunks is refused.
+func (sp *ShardedPlan) Prove(keys *ShardedKeys, in *model.Input, trace *obs.Trace) (*ShardedProof, error) {
 	if keys == nil || len(keys.Chunks) != len(sp.Chunks) {
 		return nil, fmt.Errorf("core: sharded keys carry %d chunks, plan has %d", keyCount(keys), len(sp.Chunks))
 	}
@@ -171,6 +181,9 @@ func (sp *ShardedPlan) Prove(keys *ShardedKeys, in *model.Input) (*ShardedProof,
 		if k == nil || k.PK == nil {
 			return nil, fmt.Errorf("core: chunk %d keys carry no proving key (verify-only system)", c)
 		}
+	}
+	if trace != nil && len(sp.Chunks) > 1 {
+		return nil, fmt.Errorf("core: tracing is not supported with %d chunks (stage tracing is per-circuit)", len(sp.Chunks))
 	}
 	arts, err := sp.synthChunks(in)
 	if err != nil {
@@ -193,7 +206,7 @@ func (sp *ShardedPlan) Prove(keys *ShardedKeys, in *model.Input) (*ShardedProof,
 	}
 	results := parallel.Map(len(arts), func(c int) res {
 		art := arts[c]
-		proof, err := plonkish.ProveWithRand(keys.Chunks[c].PK, art.Instance, art.Witness, rngs[c])
+		proof, err := plonkish.ProveWithRand(keys.Chunks[c].PK, art.Instance, art.Witness, rngs[c], trace)
 		if err != nil {
 			return res{err: fmt.Errorf("core: chunk %d: %w", c, err)}
 		}

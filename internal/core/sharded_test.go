@@ -10,6 +10,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/ff"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/pcs"
 	"repro/internal/zkerrors"
@@ -42,7 +43,7 @@ func newShardedFixture(t *testing.T, backend pcs.Backend, shards int) *shardedFi
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := plan.Prove(keys, spec.Input(42))
+	proof, err := plan.Prove(keys, spec.Input(42), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestShardedProveVerifyMNIST(t *testing.T) {
 	fx := newShardedFixture(t, pcs.KZG, 3)
 
 	t.Run("outputs-match-single-circuit", func(t *testing.T) {
-		plan, _, _, err := Optimize(fx.spec.Build(), fx.spec.Input(1), testOpts(pcs.KZG))
+		plan, err := OptimizeSharded(fx.spec.Build(), fx.spec.Input(1), 1, testOpts(pcs.KZG))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +105,11 @@ func TestShardedProveVerifyMNIST(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := plan.Prove(keys, fx.spec.Input(42))
+		single, err := plan.Prove(keys, fx.spec.Input(42), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := single.Instance[0]
+		want := single.Chunks[0].Instance[0]
 		got := fx.plan.FinalOutputs(fx.proof)
 		if len(got) != len(want) {
 			t.Fatalf("sharded outputs %d values, single-circuit %d", len(got), len(want))
@@ -130,13 +131,13 @@ func TestShardedProveVerifyMNIST(t *testing.T) {
 		defer parallel.SetWorkers(prev)
 		parallel.SetWorkers(1)
 		seed()
-		p1, err := fx.plan.Prove(fx.keys, fx.spec.Input(42))
+		p1, err := fx.plan.Prove(fx.keys, fx.spec.Input(42), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parallel.SetWorkers(4)
 		seed()
-		p4, err := fx.plan.Prove(fx.keys, fx.spec.Input(42))
+		p4, err := fx.plan.Prove(fx.keys, fx.spec.Input(42), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestShardedProveVerifyMNIST(t *testing.T) {
 	t.Run("spliced-chunk-rejected", func(t *testing.T) {
 		// A proof whose chunks each verify but come from different
 		// inferences must fail the boundary equality check.
-		other, err := fx.plan.Prove(fx.keys, fx.spec.Input(7))
+		other, err := fx.plan.Prove(fx.keys, fx.spec.Input(7), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,6 +218,12 @@ func TestShardedProveVerifyMNIST(t *testing.T) {
 		}
 	})
 
+	t.Run("trace-refused-over-one-chunk", func(t *testing.T) {
+		if _, err := fx.plan.Prove(fx.keys, fx.spec.Input(42), obs.NewTrace()); err == nil {
+			t.Fatal("a 3-chunk prove accepted a stage trace")
+		}
+	})
+
 	t.Run("audit-clean-per-chunk", func(t *testing.T) {
 		reports, err := fx.plan.Audit(fx.keys)
 		if err != nil {
@@ -238,11 +245,11 @@ func TestShardedProveVerifyMNIST(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := EncodeShardedArtifact(ArtifactMeta{ModelHash: h}, fx.plan, fx.keys)
+		data, err := EncodeArtifact(ArtifactMeta{ModelHash: h}, fx.plan, fx.keys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		af, err := DecodeShardedArtifact(data)
+		af, err := DecodeArtifact(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,12 +266,12 @@ func TestShardedProveVerifyMNIST(t *testing.T) {
 		seed := func() { ff.SetRandomSource(&ctrReader{seed: sha256.Sum256([]byte("sharded-artifact"))}) }
 		defer ff.SetRandomSource(nil)
 		seed()
-		p1, err := fx.plan.Prove(fx.keys, fx.spec.Input(42))
+		p1, err := fx.plan.Prove(fx.keys, fx.spec.Input(42), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seed()
-		p2, err := plan2.Prove(keys2, fx.spec.Input(42))
+		p2, err := plan2.Prove(keys2, fx.spec.Input(42), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,11 +298,11 @@ func TestShardedProveVerifyMNIST(t *testing.T) {
 		// Mutating the stored shard count must be caught (the chunk graph
 		// hash binds position and shard count).
 		bad := append([]byte(nil), data...)
-		bad[8+32+32+3] ^= 0x01 // low byte of the u32 shard count
-		if _, err := DecodeShardedArtifact(bad); err == nil {
+		bad[8+32+32+1+3] ^= 0x01 // low byte of the u32 chunk count
+		if _, err := DecodeArtifact(bad); err == nil {
 			// A flipped count may still parse if it shrinks the chunk list;
 			// instantiation must then fail.
-			af2, _ := DecodeShardedArtifact(bad)
+			af2, _ := DecodeArtifact(bad)
 			if af2 != nil {
 				if _, _, err := af2.Instantiate(g, fx.spec.Input(1)); err == nil {
 					t.Fatal("tampered shard count accepted")

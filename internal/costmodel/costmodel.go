@@ -514,11 +514,14 @@ func (l Layout) ExtK() int {
 // construction, and the constraint field ops over the extended domain);
 // with fits present each stage term carries its trace-regressed gain and
 // per-column-row overhead, so Algorithm 1 ranks layouts with the model
-// that matched measured proves, not the raw closed form.
+// that matched measured proves, not the raw closed form. The stages are
+// summed in pipeline order, not map order, so the estimate — and the plan
+// Algorithm 1 picks with it — is the same float on every call.
 func (c *Calibration) EstimateProvingTime(l Layout) float64 {
+	p := c.PredictStages(l)
 	var t float64
-	for _, v := range c.PredictStages(l) {
-		t += v
+	for _, stage := range obs.StageNames() {
+		t += p[stage]
 	}
 	return t
 }

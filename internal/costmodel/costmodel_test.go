@@ -91,6 +91,24 @@ func TestEstimateIncreasesWithEachFactor(t *testing.T) {
 	}
 }
 
+// TestEstimateProvingTimeDeterministic: the estimate is a fixed-order sum,
+// so repeated calls return the same float. Summing the stage map in
+// iteration order let the last bits vary between calls, which made
+// Algorithm 1's stored plan cost differ from one compile to the next.
+func TestEstimateProvingTimeDeterministic(t *testing.T) {
+	for _, b := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		l := Layout{K: 11, NumInstance: 1, NumAdvice: 7, NumFixed: 13,
+			NumLookups: 5, NumPermCols: 9, DMax: 5, NumConstraints: 23,
+			ConstraintOps: 317, Backend: b}
+		want := calib.EstimateProvingTime(l)
+		for i := 0; i < 200; i++ {
+			if got := calib.EstimateProvingTime(l); got != want {
+				t.Fatalf("%v call %d: estimate %v, first call %v", b, i, got, want)
+			}
+		}
+	}
+}
+
 func TestProofSizeIPABiggerThanKZG(t *testing.T) {
 	l := Layout{K: 12, NumInstance: 1, NumAdvice: 10, NumFixed: 12,
 		NumLookups: 4, NumPermCols: 11, DMax: 4, Backend: pcs.KZG}

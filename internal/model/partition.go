@@ -217,51 +217,15 @@ func Partition(g *Graph, sample *Input, shards int) (*Partitioning, error) {
 	}
 
 	for c := 0; c < shards; c++ {
-		lo, hi := rangeOf(cuts, c, len(g.Nodes))
-		cg := &Graph{
-			Name:    fmt.Sprintf("%s#%d/%d", g.Name, c, shards),
-			Weights: map[string]Weight{},
-		}
-		// Owned original inputs, in full-graph spec order.
-		for _, spec := range g.Inputs {
-			if owner[spec.Name] == c {
-				cg.Inputs = append(cg.Inputs, spec)
+		// The one-chunk partition is the model graph itself (same name, same
+		// hash), so its plan is exactly the plan the optimizer picks for g.
+		cg := g
+		if shards > 1 {
+			cg = chunkGraph(g, env, c, shards, cuts, owner, boundaryIn[c], boundaryOut[c], finalsOf[c])
+			if err := cg.Validate(); err != nil {
+				return nil, fmt.Errorf("model: partitioning %s chunk %d: %w", g.Name, c, err)
 			}
 		}
-		// Boundary act inputs, in deterministic order.
-		for _, t := range boundaryIn[c] {
-			cg.Inputs = append(cg.Inputs, InputSpec{
-				Name:  t,
-				Shape: append([]int(nil), env[t].Shape...),
-				Kind:  ActInput,
-			})
-		}
-		for j := lo; j < hi; j++ {
-			n := g.Nodes[j]
-			cg.Nodes = append(cg.Nodes, n)
-			for _, w := range []string{n.Weight, n.Weight2, n.Bias} {
-				if w != "" {
-					cg.Weights[w] = g.Weights[w]
-				}
-			}
-		}
-		// Chunk outputs: boundary activations first, then finals not
-		// already published as boundaries.
-		inOutputs := map[string]bool{}
-		for _, t := range boundaryOut[c] {
-			cg.Outputs = append(cg.Outputs, t)
-			inOutputs[t] = true
-		}
-		for _, t := range finalsOf[c] {
-			if !inOutputs[t] {
-				cg.Outputs = append(cg.Outputs, t)
-				inOutputs[t] = true
-			}
-		}
-		if err := cg.Validate(); err != nil {
-			return nil, fmt.Errorf("model: partitioning %s chunk %d: %w", g.Name, c, err)
-		}
-
 		// Instance layout: act inputs (in cg.Inputs order — exactly how
 		// RunCircuit publishes them), then outputs.
 		ch := Chunk{Graph: cg}
@@ -324,6 +288,55 @@ func Partition(g *Graph, sample *Input, shards int) (*Partitioning, error) {
 		part.Finals = append(part.Finals, FinalOutput{Tensor: t, Chunk: home, Offset: s.Offset, Elems: s.Elems})
 	}
 	return part, nil
+}
+
+// chunkGraph builds chunk c's subgraph: its owned graph inputs, its
+// boundary act inputs, its node range with the weights those nodes use, and
+// its outputs (boundary activations first, then finals not already
+// published as boundaries).
+func chunkGraph(g *Graph, env map[string]*FT, c, shards int, cuts []int, owner map[string]int, boundaryIn, boundaryOut, finals []string) *Graph {
+	lo, hi := rangeOf(cuts, c, len(g.Nodes))
+	cg := &Graph{
+		Name:    fmt.Sprintf("%s#%d/%d", g.Name, c, shards),
+		Weights: map[string]Weight{},
+	}
+	// Owned original inputs, in full-graph spec order.
+	for _, spec := range g.Inputs {
+		if owner[spec.Name] == c {
+			cg.Inputs = append(cg.Inputs, spec)
+		}
+	}
+	// Boundary act inputs, in deterministic order.
+	for _, t := range boundaryIn {
+		cg.Inputs = append(cg.Inputs, InputSpec{
+			Name:  t,
+			Shape: append([]int(nil), env[t].Shape...),
+			Kind:  ActInput,
+		})
+	}
+	for j := lo; j < hi; j++ {
+		n := g.Nodes[j]
+		cg.Nodes = append(cg.Nodes, n)
+		for _, w := range []string{n.Weight, n.Weight2, n.Bias} {
+			if w != "" {
+				cg.Weights[w] = g.Weights[w]
+			}
+		}
+	}
+	// Chunk outputs: boundary activations first, then finals not
+	// already published as boundaries.
+	inOutputs := map[string]bool{}
+	for _, t := range boundaryOut {
+		cg.Outputs = append(cg.Outputs, t)
+		inOutputs[t] = true
+	}
+	for _, t := range finals {
+		if !inOutputs[t] {
+			cg.Outputs = append(cg.Outputs, t)
+			inOutputs[t] = true
+		}
+	}
+	return cg
 }
 
 // rangeOf returns chunk c's node range [lo, hi) given the cut positions.

@@ -123,6 +123,9 @@ func TestPartitionShardBounds(t *testing.T) {
 	if len(part.Chunks) != 1 || len(part.Wires) != 0 || part.BoundaryElems != 0 {
 		t.Fatal("single-shard partition has boundaries")
 	}
+	if part.Chunks[0].Graph != g {
+		t.Fatal("single-shard partition's chunk is not the model graph itself")
+	}
 }
 
 // TestPartitionSharedInputBecomesBoundary: a float input consumed by two

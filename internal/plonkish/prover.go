@@ -70,13 +70,14 @@ func Prove(pk *ProvingKey, instance [][]ff.Element, w Witness) (*Proof, error) {
 	return prove(pk, instance, w, nil, nil)
 }
 
-// ProveWithRand is Prove with an explicit blinding source: all blinding
-// rows are drawn from rng instead of the process randomness source. A nil
-// rng is equivalent to Prove. The sharded prover uses it to give each
-// chunk an independent deterministic stream so that proofs stay
-// byte-identical regardless of which goroutine proves which chunk.
-func ProveWithRand(pk *ProvingKey, instance [][]ff.Element, w Witness, rng io.Reader) (*Proof, error) {
-	return prove(pk, instance, w, nil, rng)
+// ProveWithRand is ProveTraced with an explicit blinding source: all
+// blinding rows are drawn from rng instead of the process randomness
+// source. A nil rng is equivalent to ProveTraced, a nil trace to Prove. The
+// chunked prover uses it to give each chunk an independent deterministic
+// stream so that proofs stay byte-identical regardless of which goroutine
+// proves which chunk.
+func ProveWithRand(pk *ProvingKey, instance [][]ff.Element, w Witness, rng io.Reader, trace *obs.Trace) (*Proof, error) {
+	return prove(pk, instance, w, trace, rng)
 }
 
 // ProveTraced is Prove with per-stage observability (DESIGN.md §11): when

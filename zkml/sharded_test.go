@@ -14,7 +14,7 @@ import (
 // instance columns must return nil, not panic (the pre-fix code indexed
 // p.Instance[0] unconditionally).
 func TestOutputsZeroInstance(t *testing.T) {
-	var s System
+	s, _ := tinySystem(t)
 	if got := s.Outputs(nil); got != nil {
 		t.Fatalf("Outputs(nil) = %v, want nil", got)
 	}
@@ -41,8 +41,9 @@ func TestImportProofNonCanonicalScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Layout: 1-byte column count, then per column a 4-byte length and the
-	// 32-byte scalars. The first scalar starts at offset 5.
+	// Layout: 1-byte chunk count and 4-byte chunk length, then the chunk's
+	// 1-byte column count and per column a 4-byte length and the 32-byte
+	// scalars. The first scalar starts at offset 10.
 	var modBytes [32]byte
 	ff.Modulus().FillBytes(modBytes[:])
 	for _, bad := range [][32]byte{
@@ -50,7 +51,7 @@ func TestImportProofNonCanonicalScalar(t *testing.T) {
 		{0: 0xFF, 31: 0xFF}, // way above the modulus
 	} {
 		mut := append([]byte(nil), data...)
-		copy(mut[5:37], bad[:])
+		copy(mut[10:42], bad[:])
 		_, err := sys.ImportProof(mut)
 		if !errors.Is(err, ErrMalformedProof) {
 			t.Fatalf("non-canonical scalar: want ErrMalformedProof, got %v", err)
@@ -81,7 +82,7 @@ func TestExportMutationSweepInstancePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix := 1
+	prefix := 1 + 4 + 1 // chunk count, chunk length, column count
 	for _, col := range proof.Instance {
 		prefix += 4 + 32*len(col)
 	}

@@ -48,16 +48,17 @@ func sanitizeName(name string) string {
 	return b.String()
 }
 
-// ArtifactPath returns the file a compiled system for (model, options) is
-// stored at inside dir. The name embeds the model hash and the options
-// fingerprint, so different models or option sets never collide.
-func ArtifactPath(dir string, g *Graph, o Options) (string, error) {
+// ArtifactPath returns the file a compiled system for (model, shards,
+// options) is stored at inside dir: <model>-s<shards>-<hash>-<fp>.zka. The
+// name embeds the shard count, the model hash and the options fingerprint,
+// so different models, option sets or shard counts never collide.
+func ArtifactPath(dir string, g *Graph, shards int, o Options) (string, error) {
 	h, err := core.ModelHash(g)
 	if err != nil {
 		return "", err
 	}
 	fp := optionsFingerprint(o)
-	name := fmt.Sprintf("%s-%x-%x.zka", sanitizeName(g.Name), h[:4], fp[:4])
+	name := fmt.Sprintf("%s-s%d-%x-%x.zka", sanitizeName(g.Name), shards, h[:4], fp[:4])
 	return filepath.Join(dir, name), nil
 }
 
@@ -67,6 +68,13 @@ func ArtifactPath(dir string, g *Graph, o Options) (string, error) {
 // half-written artifact behind. Load the result with LoadSystem (prove +
 // verify) or LoadVerifier (verify only, no proving-key reconstruction).
 func (s *System) Save(dir string) (string, error) {
+	return s.sys.Save(dir)
+}
+
+// Save persists the compiled system into dir, returning the file path. The
+// write is atomic. Load the result with LoadShardedSystem or
+// LoadShardedVerifier.
+func (s *ShardedSystem) Save(dir string) (string, error) {
 	h, err := core.ModelHash(s.Plan.Graph)
 	if err != nil {
 		return "", err
@@ -79,7 +87,7 @@ func (s *System) Save(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	path, err := ArtifactPath(dir, s.Plan.Graph, s.opts)
+	path, err := ArtifactPath(dir, s.Plan.Graph, s.Shards(), s.opts)
 	if err != nil {
 		return "", err
 	}
@@ -89,10 +97,18 @@ func (s *System) Save(dir string) (string, error) {
 	return path, nil
 }
 
-// loadArtifact reads and decodes the artifact for (model, options) from dir
-// and checks it was built for exactly that pair.
-func loadArtifact(dir string, g *Graph, o Options) (*core.ArtifactFile, error) {
-	path, err := ArtifactPath(dir, g, o)
+// load reads the artifact for (model, shards, options) from dir, checks it
+// was built for exactly that triple, and instantiates it: the partitioning
+// is recomputed from the model, each chunk's circuit is re-synthesized, and
+// the stored material supplies the key polynomials and commitments — no
+// layout search, no keygen MSMs or IFFTs, no SRS extension. If no matching
+// artifact exists the error wraps os.ErrNotExist — callers fall back to
+// compiling.
+func load(dir string, g *Graph, sample *Input, shards int, o Options, verifyOnly bool) (*ShardedSystem, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	path, err := ArtifactPath(dir, g, shards, o)
 	if err != nil {
 		return nil, err
 	}
@@ -114,156 +130,42 @@ func loadArtifact(dir string, g *Graph, o Options) (*core.ArtifactFile, error) {
 	if af.Meta.Options != optionsFingerprint(o) {
 		return nil, fmt.Errorf("zkml: artifact %s was built with different options: %w", path, ErrMalformedArtifact)
 	}
-	return af, nil
+	if len(af.Chunks) != shards {
+		return nil, fmt.Errorf("zkml: artifact %s carries %d chunks, want %d: %w", path, len(af.Chunks), shards, ErrMalformedArtifact)
+	}
+	instantiate := af.Instantiate
+	if verifyOnly {
+		instantiate = af.InstantiateVerifier
+	}
+	plan, keys, err := instantiate(g, sample)
+	if err != nil {
+		return nil, err
+	}
+	return &ShardedSystem{Plan: plan, Keys: keys, opts: o}, nil
 }
 
-// LoadSystem reconstructs a compiled system from an artifact saved in dir.
-// The circuit and fixed columns are re-synthesized from the model (cheap and
-// deterministic); the stored material supplies the interpolated key
-// polynomials and commitments, so the load performs no layout search, no
-// keygen MSMs or IFFTs, and no SRS extension. The options must match the
-// ones the system was compiled with. If no matching artifact exists the
-// error wraps os.ErrNotExist — callers fall back to Compile.
-func LoadSystem(dir string, g *Graph, sample *Input, o Options) (*System, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	af, err := loadArtifact(dir, g, o)
-	if err != nil {
-		return nil, err
-	}
-	plan, keys, err := af.Instantiate(g, sample)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Plan: plan, Keys: keys, opts: o}, nil
-}
-
-// ShardedArtifactPath returns the file a compiled sharded system for
-// (model, shards, options) is stored at inside dir. The name embeds the
-// shard count next to the model hash and options fingerprint, so the same
-// model sharded differently never collides.
-func ShardedArtifactPath(dir string, g *Graph, shards int, o Options) (string, error) {
-	h, err := core.ModelHash(g)
-	if err != nil {
-		return "", err
-	}
-	fp := optionsFingerprint(o)
-	name := fmt.Sprintf("%s-s%d-%x-%x.zks", sanitizeName(g.Name), shards, h[:4], fp[:4])
-	return filepath.Join(dir, name), nil
-}
-
-// Save persists the compiled sharded system — per-chunk plans, key
-// material, and SRS — into dir, returning the file path. The write is
-// atomic. Load the result with LoadShardedSystem or LoadShardedVerifier.
-func (s *ShardedSystem) Save(dir string) (string, error) {
-	h, err := core.ModelHash(s.Plan.Graph)
-	if err != nil {
-		return "", err
-	}
-	meta := core.ArtifactMeta{ModelHash: h, Options: optionsFingerprint(s.opts)}
-	data, err := core.EncodeShardedArtifact(meta, s.Plan, s.Keys)
-	if err != nil {
-		return "", err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path, err := ShardedArtifactPath(dir, s.Plan.Graph, len(s.Plan.Chunks), s.opts)
-	if err != nil {
-		return "", err
-	}
-	if err := fsio.WriteFileAtomic(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// loadShardedArtifact reads and decodes the sharded artifact for
-// (model, shards, options) from dir and checks it was built for exactly
-// that triple.
-func loadShardedArtifact(dir string, g *Graph, shards int, o Options) (*core.ShardedArtifactFile, error) {
-	path, err := ShardedArtifactPath(dir, g, shards, o)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("zkml: no stored sharded artifact for model %q with these options: %w", g.Name, err)
-	}
-	af, err := core.DecodeShardedArtifact(data)
-	if err != nil {
-		return nil, err
-	}
-	h, err := core.ModelHash(g)
-	if err != nil {
-		return nil, err
-	}
-	if af.Meta.ModelHash != h {
-		return nil, fmt.Errorf("zkml: sharded artifact %s was built for a different model: %w", path, ErrMalformedArtifact)
-	}
-	if af.Meta.Options != optionsFingerprint(o) {
-		return nil, fmt.Errorf("zkml: sharded artifact %s was built with different options: %w", path, ErrMalformedArtifact)
-	}
-	if af.Shards != shards {
-		return nil, fmt.Errorf("zkml: sharded artifact %s carries %d shards, want %d: %w", path, af.Shards, shards, ErrMalformedArtifact)
-	}
-	return af, nil
-}
-
-// LoadShardedSystem reconstructs a compiled sharded system from an artifact
-// saved in dir: the partitioning is recomputed from the model, each chunk's
-// circuit is re-synthesized, and the stored material supplies the key
-// polynomials and commitments — no layout search, no keygen, no SRS
-// extension. If no matching artifact exists the error wraps os.ErrNotExist.
+// LoadShardedSystem reconstructs a compiled system of shards chunks from
+// an artifact saved in dir. The options must match the ones the system was
+// compiled with.
 func LoadShardedSystem(dir string, g *Graph, sample *Input, shards int, o Options) (*ShardedSystem, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	af, err := loadShardedArtifact(dir, g, shards, o)
-	if err != nil {
-		return nil, err
-	}
-	plan, keys, err := af.Instantiate(g, sample)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedSystem{Plan: plan, Keys: keys, opts: o}, nil
+	return load(dir, g, sample, shards, o, false)
 }
 
-// LoadShardedVerifier reconstructs a verification-only sharded system from
-// an artifact saved in dir; chunk keys carry only the verifying side and
-// Prove returns an error.
+// LoadShardedVerifier reconstructs a verification-only system from an
+// artifact saved in dir: the verifying keys are assembled straight from
+// the stored commitments with no interpolation and no MSM work at all.
+// The result verifies proofs and exposes the model commitment; Prove
+// returns an error.
 func LoadShardedVerifier(dir string, g *Graph, sample *Input, shards int, o Options) (*ShardedSystem, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	af, err := loadShardedArtifact(dir, g, shards, o)
-	if err != nil {
-		return nil, err
-	}
-	plan, keys, err := af.InstantiateVerifier(g, sample)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedSystem{Plan: plan, Keys: keys, opts: o}, nil
+	return load(dir, g, sample, shards, o, true)
 }
 
-// LoadVerifier reconstructs a verification-only system from an artifact
-// saved in dir: the verifying key is assembled straight from the stored
-// commitments with no interpolation and no MSM work at all. The result
-// verifies proofs and exposes the model commitment; Prove returns an error.
+// LoadSystem is LoadShardedSystem with one chunk.
+func LoadSystem(dir string, g *Graph, sample *Input, o Options) (*System, error) {
+	return oneChunk(LoadShardedSystem(dir, g, sample, 1, o))
+}
+
+// LoadVerifier is LoadShardedVerifier with one chunk.
 func LoadVerifier(dir string, g *Graph, sample *Input, o Options) (*System, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	af, err := loadArtifact(dir, g, o)
-	if err != nil {
-		return nil, err
-	}
-	plan, keys, err := af.InstantiateVerifier(g, sample)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Plan: plan, Keys: keys, opts: o}, nil
+	return oneChunk(LoadShardedVerifier(dir, g, sample, 1, o))
 }

@@ -173,7 +173,7 @@ func TestLoadRejectsWrongArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherPath, err := ArtifactPath(dir, spec.Build(), other)
+	otherPath, err := ArtifactPath(dir, spec.Build(), 1, other)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,19 +14,16 @@
 package zkml
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/ff"
 	"repro/internal/fixedpoint"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/pcs"
-	"repro/internal/plonkish"
 	"repro/internal/zkerrors"
 )
 
@@ -146,18 +143,30 @@ func (o Options) validate() error {
 	return nil
 }
 
-// System is a compiled model: the optimizer-selected circuit layout plus
-// the model-specific proving and verification keys.
+// System is the one-chunk view of a ShardedSystem, the system every model
+// compiles to: Plan and Keys are its only chunk's plan and keys (for a
+// plain model, the whole model's), and Proof is that chunk's proof. Each
+// method is one call into the general system.
 type System struct {
 	Plan *core.Plan
 	Keys *core.Keys
-	// opts records the options the system was compiled (or loaded) with, so
-	// Save can fingerprint the artifact it writes.
-	opts Options
+	sys  *ShardedSystem
 }
 
-// Proof is a model-inference proof with its public outputs.
+// Proof is one circuit's proof with its public values; a one-chunk
+// ShardedProof holds exactly one.
 type Proof = core.Proof
+
+// oneChunk wraps a one-chunk system in its System view.
+func oneChunk(s *ShardedSystem, err error) (*System, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &System{Plan: s.Plan.Chunks[0], Keys: s.Keys.Chunks[0], sys: s}, nil
+}
+
+// chain wraps a one-chunk proof as the chain the general system takes.
+func chain(p *Proof) *ShardedProof { return &ShardedProof{Chunks: []*Proof{p}} }
 
 // SetParallelism caps the worker count used by the proving engine's
 // parallel stages (MSMs, FFTs, and the prover's per-column and per-row
@@ -178,46 +187,56 @@ func ModelNames() []string { return model.Names() }
 // LoadModel reads a model specification from a JSON file.
 func LoadModel(path string) (*Graph, error) { return model.Load(path) }
 
-// Optimize runs the layout optimizer without generating keys, returning the
-// chosen plan and every candidate considered.
-func Optimize(g *Graph, sample *Input, o Options) (*core.Plan, []core.Candidate, core.Stats, error) {
+// calibration returns the cost calibration the options select: the
+// explicit one, else the cached (or freshly measured) one at
+// CalibrationPath.
+func (o Options) calibration() *costmodel.Calibration {
+	if o.Calibration != nil {
+		return o.Calibration
+	}
+	return costmodel.LoadOrCalibrate(o.CalibrationPath)
+}
+
+// coreOptions validates the public options and maps them onto the core
+// optimizer's.
+func coreOptions(o Options) (core.Options, error) {
 	if err := o.validate(); err != nil {
-		return nil, nil, core.Stats{}, err
+		return core.Options{}, err
 	}
 	o = o.withDefaults()
-	fp := fixedpoint.Params{ScaleBits: o.ScaleBits, LookupBits: o.LookupBits}
-	if err := fp.Validate(); err != nil {
-		return nil, nil, core.Stats{}, err
-	}
-	opt := core.DefaultOptions(o.Backend, fp)
+	opt := core.DefaultOptions(o.Backend, fixedpoint.Params{ScaleBits: o.ScaleBits, LookupBits: o.LookupBits})
 	opt.Objective = o.Objective
 	opt.MinCols, opt.MaxCols = o.MinCols, o.MaxCols
-	opt.Calibration = o.Calibration
-	if opt.Calibration == nil {
-		opt.Calibration = costmodel.LoadOrCalibrate(o.CalibrationPath)
+	opt.Calibration = o.calibration()
+	return opt, nil
+}
+
+// Optimize runs the layout optimizer on one circuit without generating
+// keys, returning the chosen plan and every candidate considered.
+func Optimize(g *Graph, sample *Input, o Options) (*core.Plan, []core.Candidate, core.Stats, error) {
+	opt, err := coreOptions(o)
+	if err != nil {
+		return nil, nil, core.Stats{}, err
 	}
 	return core.Optimize(g, sample, opt)
 }
 
 // Compile optimizes the circuit layout for a model and generates its
-// proving and verification keys. The sample input drives the row-exact
-// layout simulation; layouts never depend on input values.
+// proving and verification keys: CompileSharded with one chunk. The sample
+// input drives the row-exact layout simulation; layouts never depend on
+// input values.
 func Compile(g *Graph, sample *Input, o Options) (*System, error) {
-	plan, _, _, err := Optimize(g, sample, o)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := plan.Setup()
-	if err != nil {
-		return nil, fmt.Errorf("zkml: keygen: %w", err)
-	}
-	return &System{Plan: plan, Keys: keys, opts: o}, nil
+	return oneChunk(CompileSharded(g, sample, 1, o))
 }
 
 // Prove produces a ZK-SNARK that the committed model, applied to the given
 // (private) input, yields the public outputs carried in the proof.
 func (s *System) Prove(in *Input) (*Proof, error) {
-	return s.Plan.Prove(s.Keys, in)
+	p, err := s.sys.Prove(in)
+	if err != nil {
+		return nil, err
+	}
+	return p.Chunks[0], nil
 }
 
 // ProveTraced is Prove with stage-level observability (DESIGN.md §11): it
@@ -227,21 +246,25 @@ func (s *System) Prove(in *Input) (*Proof, error) {
 // Prove's. The counters belong to this call, so traced proves may run
 // concurrently with each other and with untraced ones.
 func (s *System) ProveTraced(in *Input) (*Proof, *obs.Report, error) {
-	return s.Plan.ProveTraced(s.Keys, in)
+	p, rep, err := s.sys.ProveTraced(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Chunks[0], rep, nil
 }
 
 // CompareEstimate lines a traced run's measured stage times up against the
 // compiled plan's cost-model predictions (paper §7.4), one row per prover
 // stage plus a total.
 func (s *System) CompareEstimate(r *obs.Report) []obs.StageComparison {
-	return s.Plan.CompareEstimate(r)
+	return s.sys.CompareEstimate(r)
 }
 
 // Verify checks a proof against the model's verification key. The verifier
 // learns the model architecture and the outputs but neither the weights nor
 // the input.
 func (s *System) Verify(p *Proof) error {
-	return s.Plan.Verify(s.Keys, p)
+	return s.sys.Verify(chain(p))
 }
 
 // AuditReport is the machine-readable result of the static circuit audit;
@@ -261,148 +284,47 @@ type (
 // uses. A report with Clean() == false means proofs from this system do not
 // enforce what the model graph claims.
 func (s *System) Audit() (*AuditReport, error) {
-	return s.Plan.Audit(s.Keys, nil)
-}
-
-// Audit compiles a model's layout (optimizer only — no key generation) and
-// runs the static circuit auditor over the synthesized circuit. This is the
-// pre-keygen gate: it catches a mis-wired layout before the expensive setup
-// and before any proof could silently enforce nothing.
-func Audit(g *Graph, sample *Input, o Options) (*AuditReport, error) {
-	plan, _, _, err := Optimize(g, sample, o)
+	reps, err := s.sys.Audit()
 	if err != nil {
 		return nil, err
 	}
-	return plan.Audit(nil, nil)
+	return reps[0], nil
 }
 
 // Outputs dequantizes the public output values of a proof. A proof that
 // carries no instance columns (possible for imported bytes — ImportProof
 // accepts a zero column count, and verification is what rejects it) yields
-// an empty slice rather than panicking on untrusted input.
+// nil rather than panicking on untrusted input.
 func (s *System) Outputs(p *Proof) []float64 {
-	if p == nil || len(p.Instance) == 0 {
-		return nil
-	}
-	fp := s.Plan.Config.FP
-	vals := p.Instance[0]
-	out := make([]float64, len(vals))
-	for i := range vals {
-		v := vals[i]
-		out[i] = fp.Dequantize(v.Int64())
-	}
-	return out
+	return s.sys.Outputs(chain(p))
 }
 
-// scalarModBytes is the field modulus in canonical 32-byte big-endian form;
-// any instance encoding that compares >= it is non-canonical (v + r aliases
-// of a public value) and gets rejected at the decode boundary.
-var scalarModBytes = func() [32]byte {
-	var out [32]byte
-	ff.Modulus().FillBytes(out[:])
-	return out
-}()
-
-// exportProofBytes is the shared serialization behind System.ExportProof
-// and ShardedSystem.ExportProof: a one-byte instance-column count, each
-// column as a 4-byte big-endian length plus 32-byte canonical scalars,
-// then the proof body.
-func exportProofBytes(p *Proof) ([]byte, error) {
-	body, err := p.Proof.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	if len(p.Instance) > 255 {
-		return nil, fmt.Errorf("zkml: proof has %d instance columns, export format supports at most 255", len(p.Instance))
-	}
-	var out []byte
-	out = append(out, byte(len(p.Instance)))
-	for _, col := range p.Instance {
-		var n [4]byte
-		n[0] = byte(len(col) >> 24)
-		n[1] = byte(len(col) >> 16)
-		n[2] = byte(len(col) >> 8)
-		n[3] = byte(len(col))
-		out = append(out, n[:]...)
-		for _, v := range col {
-			b := v.Bytes()
-			out = append(out, b[:]...)
-		}
-	}
-	return append(out, body...), nil
-}
-
-// importProofBytes is the shared decoder behind System.ImportProof and
-// ShardedSystem.ImportProof. The bytes are untrusted: structural failures
-// wrap ErrMalformedProof and arbitrary input never panics or
-// over-allocates. Instance scalars must be canonical (strictly below the
-// field modulus) — ff.Element.SetBytes silently reduces mod r, so without
-// the check a non-canonical encoding (v + r) of a public output would
-// decode to the same proof, a malleability the PR 2 canonical boundary
-// rejects everywhere else.
-func importProofBytes(data []byte) (*Proof, error) {
-	if len(data) < 1 {
-		return nil, fmt.Errorf("zkml: empty proof: %w", ErrMalformedProof)
-	}
-	nCols := int(data[0])
-	data = data[1:]
-	inst := make([][]ff.Element, 0, nCols)
-	for c := 0; c < nCols; c++ {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("zkml: truncated proof header: %w", ErrMalformedProof)
-		}
-		n := int(data[0])<<24 | int(data[1])<<16 | int(data[2])<<8 | int(data[3])
-		data = data[4:]
-		if len(data) < 32*n {
-			return nil, fmt.Errorf("zkml: instance column %d claims %d values with %d bytes left: %w",
-				c, n, len(data), ErrMalformedProof)
-		}
-		col := make([]ff.Element, n)
-		for i := 0; i < n; i++ {
-			if bytes.Compare(data[:32], scalarModBytes[:]) >= 0 {
-				return nil, fmt.Errorf("zkml: instance column %d value %d has a non-canonical scalar encoding: %w",
-					c, i, ErrMalformedProof)
-			}
-			col[i].SetBytes(data[:32])
-			data = data[32:]
-		}
-		inst = append(inst, col)
-	}
-	p := &Proof{Instance: inst}
-	p.Proof = new(plonkish.Proof)
-	if err := p.Proof.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// ExportProof serializes a proof (and its public values) for transport.
-// The instance-column count is carried in one byte; proofs with more than
-// 255 instance columns are rejected here rather than silently truncating
-// the count and corrupting the round trip.
+// ExportProof serializes a proof (and its public values) for transport, in
+// the one proof format: a chain of one chunk.
 func (s *System) ExportProof(p *Proof) ([]byte, error) {
-	return exportProofBytes(p)
+	return exportProof(chain(p))
 }
 
 // ImportProof deserializes a proof produced by ExportProof. The bytes are
 // untrusted: structural failures (including non-canonical instance scalar
-// encodings) wrap ErrMalformedProof and arbitrary input never panics or
-// over-allocates.
+// encodings and a chunk count other than one) wrap ErrMalformedProof and
+// arbitrary input never panics or over-allocates.
 func (s *System) ImportProof(data []byte) (*Proof, error) {
-	return importProofBytes(data)
+	p, err := importProof(data, 1)
+	if err != nil {
+		return nil, err
+	}
+	return p.Chunks[0], nil
 }
 
 // ModelCommitment returns a digest binding the compiled circuit, including
 // the committed (but hidden) weight columns — the public commitment an
 // auditor pins (Figure 2 of the paper).
 func (s *System) ModelCommitment() []byte {
-	return s.Keys.VK.Digest()
+	return s.sys.ModelCommitment()
 }
 
 // Describe summarizes the compiled layout.
 func (s *System) Describe() string {
-	p := s.Plan
-	return fmt.Sprintf("%s: %d advice cols, 2^%d rows (%d used), dot=%s constdot=%v, backend=%s, est. %.2fs / %d B",
-		p.Graph.Name, p.Config.NumCols, p.K, p.UsedRows, p.Config.Dot, p.Config.UseConstDot,
-		p.Backend, p.Cost, p.Size)
+	return s.sys.Describe()
 }
